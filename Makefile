@@ -102,10 +102,11 @@ benchdiff-engine:
 # The differential tier (see TESTING.md): the calendar-queue fast path
 # must schedule bit-identically to the reference heap. Runs the
 # engine-level trace comparison, the calq fuzz seeds + oracle tests, the
-# experiment-level result comparison for every registered kind, and the
+# experiment-level result comparison for every registered kind, the
+# topology-aware placement against its sort-based reference, and the
 # whole des test suite pinned to the reference queue via the build tag.
 difftest:
-	$(GO) test -run 'Differential|Oracle|Fuzz|CondSignal|WorkerReuse' -v ./internal/des/... ./internal/experiment/
+	$(GO) test -run 'Differential|Oracle|Fuzz|CondSignal|WorkerReuse' -v ./internal/des/... ./internal/experiment/ ./internal/sched/
 	$(GO) test -tags desrefqueue ./internal/des/...
 
 # Coverage-guided fuzz smoke over the machine-preset validator. The
@@ -115,11 +116,11 @@ difftest:
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzPresetValidate' -fuzztime 20s ./internal/machine
 
-# CPU + heap profile of a full Fig. 11 regeneration (NEMO through the
-# DES-backed MPI runtime): the standard starting point for engine
-# performance work. Inspect with `go tool pprof cpu.pprof`.
+# CPU + heap profile of a full paper regeneration (every table, figure
+# and conclusion, as `make paper` prints them): the standard starting
+# point for performance work. Inspect with `go tool pprof cpu.pprof`.
 profile:
-	$(GO) run ./cmd/clustereval -figure 11 -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
+	$(GO) run ./cmd/clustereval -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	@echo "profile: wrote cpu.pprof and mem.pprof (go tool pprof cpu.pprof)"
 
 # Ablations: quantify each modelled mechanism's contribution.

@@ -28,8 +28,8 @@ func runScripted(t *testing.T, eng *Engine, seed uint64) []string {
 	res := eng.NewResource("diff", 2)
 	const nProcs = 8
 
-	var spawnWorker func(name string, r *xrand.Rand, depth int)
-	spawnWorker = func(name string, r *xrand.Rand, depth int) {
+	var spawnWorker func(name string, r xrand.Rand, depth int)
+	spawnWorker = func(name string, r xrand.Rand, depth int) {
 		eng.Spawn(name, func(p *Proc) {
 			steps := 4 + r.Intn(8)
 			for s := 0; s < steps; s++ {

@@ -1,6 +1,7 @@
 package interconnect
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -313,5 +314,54 @@ func TestOmniPathUniformity(t *testing.T) {
 	}
 	if float64(max)/float64(min) > 1.15 {
 		t.Errorf("cross-leaf OPA bandwidth spread too wide: %v..%v", min, max)
+	}
+}
+
+// TestMessagePricingAllocFree pins the per-message cost model to zero heap
+// allocations on both clusters' fabrics: latency, and MessageTime in every
+// protocol regime (eager, the 1 KiB–256 KiB buffer lottery, rendezvous,
+// >1 MiB contention), to a healthy node and to the degraded receiver.
+func TestMessagePricingAllocFree(t *testing.T) {
+	sizes := []units.Bytes{
+		units.Bytes(8), units.Bytes(1 * units.KiB), units.Bytes(16 * units.KiB),
+		units.Bytes(64 * units.KiB), units.Bytes(256 * units.KiB),
+		units.Bytes(512 * units.KiB), units.Bytes(4 * units.MiB),
+	}
+	for name, f := range map[string]*Fabric{"cte-arm": tofu(t, 192), "mn4": opa(t, 3456)} {
+		for _, dst := range []int{23, 150} { // 23 is arms0b1-11c on CTE-Arm
+			if allocs := testing.AllocsPerRun(50, func() { f.Latency(0, dst) }); allocs != 0 {
+				t.Errorf("%s Latency(0, %d) allocates %v times", name, dst, allocs)
+			}
+			for _, size := range sizes {
+				if allocs := testing.AllocsPerRun(50, func() { f.MessageTime(0, dst, size, 3) }); allocs != 0 {
+					t.Errorf("%s MessageTime(0, %d, %v) allocates %v times", name, dst, float64(size), allocs)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkMessageTime prices one message per operation, cycling over
+// every ordered pair of CTE-Arm nodes (self-pairs included), at Fig. 5's
+// sizes from 1 B to 16 MiB in steps of 16×.
+func BenchmarkMessageTime(b *testing.B) {
+	f, err := NewTofuD(machine.CTEArm(), 192)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := f.Topo.Nodes()
+	for e := 0; e <= 24; e += 4 {
+		size := units.Bytes(int64(1) << e)
+		b.Run(fmt.Sprintf("size=%d", int64(size)), func(b *testing.B) {
+			b.ReportAllocs()
+			var total units.Seconds
+			for i := range b.N {
+				pair := i % (nodes * nodes)
+				total += f.MessageTime(pair/nodes, pair%nodes, size, 0)
+			}
+			if total < 0 {
+				b.Fatal("negative message time")
+			}
+		})
 	}
 }

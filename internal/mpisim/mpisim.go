@@ -239,7 +239,8 @@ func (c *Comm) Now() units.Seconds { return c.proc.Now() }
 // Rand returns this rank's deterministic random stream.
 func (c *Comm) Rand() *xrand.Rand {
 	if c.rng == nil {
-		c.rng = xrand.New(xrand.MixN(0xc0117, uint64(c.GlobalRank())))
+		r := xrand.New(xrand.MixN(0xc0117, uint64(c.GlobalRank())))
+		c.rng = &r
 	}
 	return c.rng
 }

@@ -8,6 +8,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"clustereval/internal/topology"
@@ -44,7 +45,7 @@ type Scheduler struct {
 	policy Policy
 	busy   []bool
 	nBusy  int
-	rng    *xrand.Rand
+	rng    xrand.Rand
 }
 
 // New creates a scheduler over the topology with the given policy; seed
@@ -114,8 +115,12 @@ func (s *Scheduler) allocateRandom(n int) []int {
 
 // allocateTopology grows the job around the free node whose neighbourhood
 // is densest: it tries each free node as a seed (sampled for big clusters),
-// collects the n nearest free nodes by hop distance, and keeps the seed
-// with the smallest total distance.
+// prices the n nearest free nodes by hop distance, and keeps the seed with
+// the smallest total distance (the first such seed on a tie).
+//
+// Hop distances are small integers, so a seed's price is read off a
+// histogram of its distances to every free node, with no sort; only the
+// winning seed's selection is built.
 func (s *Scheduler) allocateTopology(n int) []int {
 	free := make([]int, 0, s.FreeNodes())
 	for i, b := range s.busy {
@@ -127,53 +132,83 @@ func (s *Scheduler) allocateTopology(n int) []int {
 	if len(free) > 48 {
 		seedStride = len(free) / 48
 	}
-	bestCost := -1.0
-	var best []int
+	hops := make([]int, len(free))
+	counts := make([]int, s.topo.Diameter()+1)
+	best, bestCost := -1, 0
 	for si := 0; si < len(free); si += seedStride {
-		seed := free[si]
-		cand, cost := s.nearestFrom(seed, free, n)
-		if bestCost < 0 || cost < bestCost {
-			best, bestCost = cand, cost
+		s.distances(free[si], free, hops, counts)
+		if cost, _, _ := nearest(counts, n); best < 0 || cost < bestCost {
+			best, bestCost = free[si], cost
 		}
 	}
-	return best
+	s.distances(best, free, hops, counts)
+	return nearestFrom(free, hops, counts, n)
 }
 
-// nearestFrom returns the n free nodes closest to seed and the summed hop
-// distance of the selection. Ties break on node index for determinism.
-func (s *Scheduler) nearestFrom(seed int, free []int, n int) ([]int, float64) {
-	type nd struct{ node, hops int }
-	ds := make([]nd, len(free))
+// distances sets hops[i] to the hop distance from seed to free[i] and
+// counts[h] to the number of free nodes h hops away, for h up to the
+// topology's diameter.
+func (s *Scheduler) distances(seed int, free, hops, counts []int) {
+	clear(counts)
 	for i, f := range free {
-		ds[i] = nd{node: f, hops: s.topo.Hops(seed, f)}
+		h := s.topo.Hops(seed, f)
+		hops[i] = h
+		counts[h]++
 	}
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].hops != ds[j].hops {
-			return ds[i].hops < ds[j].hops
-		}
-		return ds[i].node < ds[j].node
-	})
-	alloc := make([]int, n)
-	cost := 0.0
-	for i := 0; i < n; i++ {
-		alloc[i] = ds[i].node
-		cost += float64(ds[i].hops)
-	}
-	return alloc, cost
 }
 
-// Release frees an allocation. It fails on nodes that are not allocated,
-// leaving occupancy unchanged in that case.
-func (s *Scheduler) Release(nodes []int) error {
-	for _, node := range nodes {
-		if node < 0 || node >= len(s.busy) {
-			return fmt.Errorf("sched: release of invalid node %d", node)
+// nearest reads the n nearest free nodes off a distance histogram: their
+// summed hop distance, the cut-off distance of the farthest, and how many
+// of them lie exactly at the cut-off.
+func nearest(counts []int, n int) (cost, cut, atCut int) {
+	for h, c := range counts {
+		if c >= n {
+			return cost + n*h, h, n
 		}
-		if !s.busy[node] {
-			return fmt.Errorf("sched: release of free node %d", node)
+		cost += c * h
+		n -= c
+	}
+	panic("sched: fewer free nodes than requested")
+}
+
+// nearestFrom returns, in ascending order, the n free nodes nearest the
+// seed that hops and counts describe: every node closer than the cut-off
+// distance, then the lowest-indexed ones at it. That is the first n nodes
+// in (hops, node index) order.
+func nearestFrom(free, hops, counts []int, n int) []int {
+	_, cut, atCut := nearest(counts, n)
+	alloc := make([]int, 0, n)
+	for i, f := range free {
+		switch h := hops[i]; {
+		case h < cut:
+			alloc = append(alloc, f)
+		case h == cut && atCut > 0:
+			alloc = append(alloc, f)
+			atCut--
 		}
 	}
-	for _, node := range nodes {
+	return alloc
+}
+
+// Release frees an allocation. It fails on nodes that are not allocated
+// and on a node listed twice, leaving occupancy unchanged in that case.
+func (s *Scheduler) Release(nodes []int) error {
+	for i, node := range nodes {
+		var err error
+		switch {
+		case node < 0 || node >= len(s.busy):
+			err = fmt.Errorf("sched: release of invalid node %d", node)
+		case !s.busy[node] && slices.Contains(nodes[:i], node):
+			err = fmt.Errorf("sched: release lists node %d twice", node)
+		case !s.busy[node]:
+			err = fmt.Errorf("sched: release of free node %d", node)
+		}
+		if err != nil {
+			for _, freed := range nodes[:i] {
+				s.busy[freed] = true
+			}
+			return err
+		}
 		s.busy[node] = false
 	}
 	s.nBusy -= len(nodes)

@@ -1,9 +1,13 @@
 package sched
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"testing"
 
 	"clustereval/internal/topology"
+	"clustereval/internal/xrand"
 )
 
 func tofu(t *testing.T) *topology.Torus {
@@ -79,11 +83,24 @@ func TestReleaseCycle(t *testing.T) {
 	if err := s.Release([]int{-1}); err == nil {
 		t.Error("invalid node release accepted")
 	}
+	// A node listed twice is rejected whole, however many distinct nodes
+	// precede the repeat: none is freed.
+	for _, dup := range [][]int{{b[0], b[0]}, {b[1], b[2], b[1]}} {
+		if err := s.Release(dup); err == nil {
+			t.Errorf("release of %v accepted", dup)
+		}
+		if s.FreeNodes() != 100 || !s.busy[dup[0]] || !s.busy[dup[1]] {
+			t.Errorf("rejected release of %v mutated occupancy", dup)
+		}
+	}
 	if err := s.Release(b); err != nil {
 		t.Fatal(err)
 	}
 	if s.FreeNodes() != 192 {
 		t.Errorf("free = %d after full release", s.FreeNodes())
+	}
+	if _, err := s.Allocate(s.FreeNodes()); err != nil {
+		t.Errorf("whole machine not allocatable after release: %v", err)
 	}
 }
 
@@ -183,5 +200,128 @@ func TestPolicyStrings(t *testing.T) {
 	if TopologyAware.String() != "topology-aware" || Random.String() != "random" ||
 		LinearFirstFit.String() != "linear-first-fit" {
 		t.Error("policy names")
+	}
+}
+
+// sortedNearestFrom is the sort-based reference for topology-aware
+// placement: every free node sorted by (hops, node index), the first n
+// taken, and their summed hop distance.
+func sortedNearestFrom(topo topology.Topology, seed int, free []int, n int) ([]int, float64) {
+	type nd struct{ node, hops int }
+	ds := make([]nd, len(free))
+	for i, f := range free {
+		ds[i] = nd{node: f, hops: topo.Hops(seed, f)}
+	}
+	slices.SortFunc(ds, func(x, y nd) int {
+		if x.hops != y.hops {
+			return cmp.Compare(x.hops, y.hops)
+		}
+		return cmp.Compare(x.node, y.node)
+	})
+	alloc := make([]int, n)
+	cost := 0.0
+	for i := 0; i < n; i++ {
+		alloc[i] = ds[i].node
+		cost += float64(ds[i].hops)
+	}
+	return alloc, cost
+}
+
+// referenceTopology is the oracle for allocateTopology: the same sampled
+// seeds, each priced by sortedNearestFrom, the first cheapest seed winning,
+// and the result sorted as Allocate returns it.
+func referenceTopology(topo topology.Topology, busy []bool, n int) []int {
+	var free []int
+	for i, b := range busy {
+		if !b {
+			free = append(free, i)
+		}
+	}
+	seedStride := 1
+	if len(free) > 48 {
+		seedStride = len(free) / 48
+	}
+	bestCost := -1.0
+	var best []int
+	for si := 0; si < len(free); si += seedStride {
+		cand, cost := sortedNearestFrom(topo, free[si], free, n)
+		if bestCost < 0 || cost < bestCost {
+			best, bestCost = cand, cost
+		}
+	}
+	slices.Sort(best)
+	return best
+}
+
+// TestPlacementDifferential pins the histogram placement to the sort-based
+// reference: on seeded random busy masks, from empty to nearly full, both
+// must pick the same nodes for a single node, mid-sized jobs and every
+// free node. The fat tree's two distances make ties the common case, so
+// the (hops, node index) tie-break and first-seed-wins rule are exercised.
+func TestPlacementDifferential(t *testing.T) {
+	fatTree, err := topology.NewFatTree(3456, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torus, err := topology.NewTofuD(6144)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []topology.Topology{tofu(t), fatTree, torus} {
+		for mask, busyFrac := range []float64{0, 0.4, 0.95} {
+			r := xrand.New(xrand.MixN(0x5c4ed, uint64(topo.Nodes()), uint64(mask)))
+			busy := make([]bool, topo.Nodes())
+			nBusy := 0
+			for i := range busy {
+				if r.Float64() < busyFrac {
+					busy[i] = true
+					nBusy++
+				}
+			}
+			free := len(busy) - nBusy
+			sizes := []int{1, 2, 13, free / 5, free / 2, free - 1, free}
+			sizes = slices.DeleteFunc(sizes, func(n int) bool { return n < 1 || n > free })
+			slices.Sort(sizes)
+			for _, n := range slices.Compact(sizes) {
+				name := fmt.Sprintf("%s-%d/busy%.2f/n%d", topo.Name(), topo.Nodes(), busyFrac, n)
+				s := New(topo, TopologyAware, 1)
+				copy(s.busy, busy)
+				s.nBusy = nBusy
+				got, err := s.Allocate(n)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if want := referenceTopology(topo, busy, n); !slices.Equal(got, want) {
+					t.Errorf("%s: placement differs from the sort-based reference\n got %v\nwant %v", name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAllocate times one topology-aware placement on an empty
+// machine at each of Table IV's node counts, as every application model
+// does per data point: on CTE-Arm's 192-node TofuD and MareNostrum 4's
+// 3,456-node fat tree.
+func BenchmarkAllocate(b *testing.B) {
+	tofuD, err := topology.NewTofuD(192)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fatTree, err := topology.NewFatTree(3456, 24)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, topo := range []topology.Topology{tofuD, fatTree} {
+		for _, n := range []int{1, 16, 32, 64, 128, 192} {
+			b.Run(fmt.Sprintf("%s-%d/n=%d", topo.Name(), topo.Nodes(), n), func(b *testing.B) {
+				b.ReportAllocs()
+				for range b.N {
+					if _, err := New(topo, TopologyAware, 1).Allocate(n); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -26,9 +26,10 @@ type Topology interface {
 // Torus is an N-dimensional torus/mesh. Dimensions with wrap=true are rings
 // (distance min(d, size-d)); the others are lines.
 type Torus struct {
-	dims []int
-	wrap []bool
-	name string
+	dims  []int
+	wrap  []bool
+	name  string
+	nodes int
 }
 
 // NewTorus builds a torus with the given per-dimension sizes and wrap flags.
@@ -41,7 +42,11 @@ func NewTorus(name string, dims []int, wrap []bool) (*Torus, error) {
 			return nil, fmt.Errorf("topology: dimension %d has size %d", i, d)
 		}
 	}
-	return &Torus{name: name, dims: append([]int(nil), dims...), wrap: append([]bool(nil), wrap...)}, nil
+	nodes := 1
+	for _, d := range dims {
+		nodes *= d
+	}
+	return &Torus{name: name, dims: append([]int(nil), dims...), wrap: append([]bool(nil), wrap...), nodes: nodes}, nil
 }
 
 // NewTofuD builds the TofuD topology for the given node count. TofuD is a
@@ -85,13 +90,7 @@ func balancedTriple(m int) (int, int, int) {
 func (t *Torus) Name() string { return t.name }
 
 // Nodes implements Topology.
-func (t *Torus) Nodes() int {
-	n := 1
-	for _, d := range t.dims {
-		n *= d
-	}
-	return n
-}
+func (t *Torus) Nodes() int { return t.nodes }
 
 // Dims returns a copy of the per-dimension sizes.
 func (t *Torus) Dims() []int { return append([]int(nil), t.dims...) }
@@ -99,9 +98,7 @@ func (t *Torus) Dims() []int { return append([]int(nil), t.dims...) }
 // Coords returns the coordinates of node i (row-major, first dimension
 // slowest). It panics on an out-of-range index.
 func (t *Torus) Coords(i int) []int {
-	if i < 0 || i >= t.Nodes() {
-		panic(fmt.Sprintf("topology: node %d out of range [0,%d)", i, t.Nodes()))
-	}
+	t.checkNode(i)
 	c := make([]int, len(t.dims))
 	for d := len(t.dims) - 1; d >= 0; d-- {
 		c[d] = i % t.dims[d]
@@ -125,17 +122,30 @@ func (t *Torus) Index(coords []int) int {
 	return i
 }
 
-// Hops implements Topology with dimension-order minimal routing.
+// checkNode panics unless i is a node index of the torus.
+func (t *Torus) checkNode(i int) {
+	if i < 0 || i >= t.nodes {
+		panic(fmt.Sprintf("topology: node %d out of range [0,%d)", i, t.nodes))
+	}
+}
+
+// Hops implements Topology with dimension-order minimal routing. It peels
+// both nodes' coordinates off one digit at a time, fastest dimension
+// first, so it allocates nothing. Like Coords, it panics on an
+// out-of-range index.
 func (t *Torus) Hops(a, b int) int {
-	ca, cb := t.Coords(a), t.Coords(b)
+	t.checkNode(a)
+	t.checkNode(b)
 	h := 0
-	for d := range t.dims {
-		diff := ca[d] - cb[d]
+	for d := len(t.dims) - 1; d >= 0; d-- {
+		size := t.dims[d]
+		diff := a%size - b%size
+		a, b = a/size, b/size
 		if diff < 0 {
 			diff = -diff
 		}
 		if t.wrap[d] {
-			if alt := t.dims[d] - diff; alt < diff {
+			if alt := size - diff; alt < diff {
 				diff = alt
 			}
 		}

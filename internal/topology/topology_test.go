@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -246,5 +247,115 @@ func TestCoordsPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// fugakuShape is the full-machine 6-D Tofu-D shape of the Fugaku preset
+// (158,976 nodes).
+func fugakuShape(tb testing.TB) *Torus {
+	tb.Helper()
+	tf, err := NewTorus("TofuD", []int{24, 23, 24, 2, 3, 2}, []bool{true, true, true, false, true, false})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tf
+}
+
+// coordsHops is the reference hop distance: both nodes' coordinate
+// vectors from Coords, compared dimension by dimension.
+func coordsHops(t *Torus, a, b int) int {
+	ca, cb := t.Coords(a), t.Coords(b)
+	h := 0
+	for d, size := range t.Dims() {
+		diff := ca[d] - cb[d]
+		if diff < 0 {
+			diff = -diff
+		}
+		if t.wrap[d] && size-diff < diff {
+			diff = size - diff
+		}
+		h += diff
+	}
+	return h
+}
+
+func TestHopsMatchesCoords(t *testing.T) {
+	cte, err := NewTofuD(192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := range cte.Nodes() {
+		for b := range cte.Nodes() {
+			if got, want := cte.Hops(a, b), coordsHops(cte, a, b); got != want {
+				t.Fatalf("CTE-Arm Hops(%d, %d) = %d, Coords reference %d", a, b, got, want)
+			}
+		}
+	}
+	fugaku := fugakuShape(t)
+	n := fugaku.Nodes()
+	r := xrand.New(0xf06a)
+	for trial := range 50000 {
+		a, b := r.Intn(n), r.Intn(n)
+		if trial == 0 {
+			a, b = 0, n-1
+		}
+		if got, want := fugaku.Hops(a, b), coordsHops(fugaku, a, b); got != want {
+			t.Fatalf("Fugaku Hops(%d, %d) = %d, Coords reference %d", a, b, got, want)
+		}
+	}
+}
+
+func TestHopsPanicsOutOfRange(t *testing.T) {
+	tf, _ := NewTofuD(24)
+	for _, pair := range [][2]int{{-1, 0}, {0, -1}, {24, 0}, {0, 24}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Hops(%d, %d) did not panic", pair[0], pair[1])
+				}
+			}()
+			tf.Hops(pair[0], pair[1])
+		}()
+	}
+}
+
+func TestHopsAllocFree(t *testing.T) {
+	tf, _ := NewTofuD(192)
+	ft, _ := NewFatTree(3456, 24)
+	sink := 0
+	for name, topo := range map[string]Topology{"TofuD": tf, "fat-tree": ft, "Fugaku": fugakuShape(t)} {
+		if allocs := testing.AllocsPerRun(100, func() { sink += topo.Hops(5, topo.Nodes()-1) }); allocs != 0 {
+			t.Errorf("%s Hops allocates %v times per call", name, allocs)
+		}
+	}
+	if sink == 0 {
+		t.Error("Hops returned only zeros")
+	}
+}
+
+// BenchmarkHops times one hop-distance query over a fixed stream of node
+// pairs on CTE-Arm's 192-node TofuD and Fugaku's 6-D shape.
+func BenchmarkHops(b *testing.B) {
+	cte, err := NewTofuD(192)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tf := range []*Torus{cte, fugakuShape(b)} {
+		r := xrand.New(0x40b5)
+		pairs := make([][2]int, 4096)
+		for i := range pairs {
+			pairs[i] = [2]int{r.Intn(tf.Nodes()), r.Intn(tf.Nodes())}
+		}
+		b.Run(fmt.Sprintf("%s-%d", tf.Name(), tf.Nodes()), func(b *testing.B) {
+			b.ReportAllocs()
+			sink := 0
+			for i := range b.N {
+				p := pairs[i%len(pairs)]
+				sink += tf.Hops(p[0], p[1])
+			}
+			if sink < 0 {
+				b.Fatal("negative hop count")
+			}
+		})
 	}
 }

@@ -49,8 +49,11 @@ type Rand struct {
 }
 
 // New returns a generator seeded from seed via SplitMix64, following the
-// reference initialization recommended by the xoshiro authors.
-func New(seed uint64) *Rand {
+// reference initialization recommended by the xoshiro authors. It returns
+// the generator by value, so a short-lived local stream stays off the heap.
+// Copying a Rand forks it: each copy then yields the same sequence on its
+// own. Take its address to share one stream between holders.
+func New(seed uint64) Rand {
 	var r Rand
 	sm := seed
 	for i := range r.s {
@@ -60,7 +63,7 @@ func New(seed uint64) *Rand {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &r
+	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -81,7 +84,8 @@ func (r *Rand) Uint64() uint64 {
 // Split returns a new generator whose stream is independent of (and
 // deterministic with respect to) the parent's current state.
 func (r *Rand) Split() *Rand {
-	return New(r.Uint64() ^ 0xa5a5a5a5deadbeef)
+	child := New(r.Uint64() ^ 0xa5a5a5a5deadbeef)
+	return &child
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -81,7 +81,8 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 			t.Error("Intn(0) did not panic")
 		}
 	}()
-	New(1).Intn(0)
+	r := New(1)
+	r.Intn(0)
 }
 
 func TestNormFloat64Moments(t *testing.T) {
@@ -135,7 +136,8 @@ func TestSlowJitterOneSided(t *testing.T) {
 func TestPermIsPermutation(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%50) + 1
-		p := New(seed).Perm(n)
+		r := New(seed)
+		p := r.Perm(n)
 		if len(p) != n {
 			return false
 		}
