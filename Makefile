@@ -103,10 +103,14 @@ benchdiff-engine:
 # must schedule bit-identically to the reference heap. Runs the
 # engine-level trace comparison, the calq fuzz seeds + oracle tests, the
 # experiment-level result comparison for every registered kind, the
-# topology-aware placement against its sort-based reference, and the
-# whole des test suite pinned to the reference queue via the build tag.
+# topology-aware placement against its sort-based reference, message
+# pricing against the straight-line referenceMessageTime, the µKernel's
+# fixed-point exit against the full-length referenceExecute, Fig. 5's
+# histogram percentiles against the expanded sample and referenceSpreadAt,
+# and the whole des test suite pinned to the reference queue via the
+# build tag.
 difftest:
-	$(GO) test -run 'Differential|Oracle|Fuzz|CondSignal|WorkerReuse' -v ./internal/des/... ./internal/experiment/ ./internal/sched/
+	$(GO) test -run 'Differential|Oracle|Fuzz|CondSignal|WorkerReuse' -v ./internal/des/... ./internal/experiment/ ./internal/sched/ ./internal/interconnect/ ./internal/simdvec/ ./internal/stats/ ./internal/bench/osu/
 	$(GO) test -tags desrefqueue ./internal/des/...
 
 # Coverage-guided fuzz smoke over the machine-preset validator. The

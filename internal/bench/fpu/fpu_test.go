@@ -3,6 +3,7 @@ package fpu
 import (
 	"math"
 	"testing"
+	"time"
 
 	"clustereval/internal/machine"
 	"clustereval/internal/simdvec"
@@ -149,4 +150,47 @@ func TestVariantOrderMatchesFigure(t *testing.T) {
 		}
 	}
 	_ = simdvec.Variants()
+}
+
+// TestFigure1HugeIterationCountReturns guards fpu jobs against running for
+// hours: a job's deadline abandons the run without stopping it, so the
+// µKernel must stop on its own at its fixed point. Figure1 at
+// math.MaxInt32 iterations has to return within seconds, with the
+// checksums of Fig. 1's 20,000-iteration run. It runs behind a timer so a
+// regression fails the test instead of hanging it.
+func TestFigure1HugeIterationCountReturns(t *testing.T) {
+	machines := []machine.Machine{machine.CTEArm(), machine.MareNostrum4(), machine.ThunderX2(), machine.Fugaku()}
+	want, err := Figure1(machines, DefaultIterations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		bars []Bar
+		err  error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		bars, err := Figure1(machines, math.MaxInt32)
+		done <- outcome{bars, err}
+	}()
+	timer := time.NewTimer(10 * time.Second)
+	defer timer.Stop()
+	var got outcome
+	select {
+	case got = <-done:
+	case <-timer.C:
+		t.Fatal("Figure1 at math.MaxInt32 iterations still running after 10 s")
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if len(got.bars) != len(want) {
+		t.Fatalf("%d bars, want %d", len(got.bars), len(want))
+	}
+	for i, b := range got.bars {
+		if math.Float64bits(b.Checksum) != math.Float64bits(want[i].Checksum) {
+			t.Errorf("%s/%s checksum %v, want the 20,000-iteration %v",
+				b.Machine, b.Variant.Name(), b.Checksum, want[i].Checksum)
+		}
+	}
 }

@@ -263,18 +263,14 @@ func (d *Distribution) BimodalSizes(minFraction float64) []units.Bytes {
 
 // SpreadAt returns the ratio between the 95th and 5th percentile bandwidth
 // for size index i — the variability measure for the >1 MB observation.
+// Each pair's bandwidth counts at its bin's centre. The percentiles are
+// read off the bin counts, so no per-pair sample is built or sorted.
 func (d *Distribution) SpreadAt(i int) float64 {
 	h := d.Hist[i]
-	var samples []float64
-	for b, c := range h.Counts {
-		for k := 0; k < c; k++ {
-			samples = append(samples, h.BinCenter(b))
-		}
-	}
-	if len(samples) == 0 {
+	if h.Total() == 0 {
 		return 0
 	}
-	lo := stats.Percentile(samples, 5)
-	hi := stats.Percentile(samples, 95)
+	lo := h.Percentile(5)
+	hi := h.Percentile(95)
 	return math.Pow(10, hi-lo) // ratio in linear space
 }

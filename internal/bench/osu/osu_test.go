@@ -8,6 +8,7 @@ import (
 
 	"clustereval/internal/interconnect"
 	"clustereval/internal/machine"
+	"clustereval/internal/stats"
 	"clustereval/internal/topology"
 	"clustereval/internal/units"
 )
@@ -172,6 +173,49 @@ func TestFigure5Bimodality(t *testing.T) {
 	spreadLarge := d.SpreadAt(idxOf(units.Bytes(1 << 23)))
 	if spreadLarge <= spreadSmall {
 		t.Errorf("large-message spread %.2f not above small %.2f", spreadLarge, spreadSmall)
+	}
+}
+
+// referenceSpreadAt is SpreadAt by the definition: every pair's binned
+// bandwidth written out and sorted for the percentiles. It is the oracle
+// of TestSpreadAtDifferential: keep it simple, do not optimise it.
+func referenceSpreadAt(d *Distribution, i int) float64 {
+	h := d.Hist[i]
+	var samples []float64
+	for b, c := range h.Counts {
+		for k := 0; k < c; k++ {
+			samples = append(samples, h.BinCenter(b))
+		}
+	}
+	if len(samples) == 0 {
+		return 0
+	}
+	lo := stats.Percentile(samples, 5)
+	hi := stats.Percentile(samples, 95)
+	return math.Pow(10, hi-lo)
+}
+
+// TestSpreadAtDifferential requires SpreadAt, which reads the percentiles
+// off the bin counts, to match referenceSpreadAt bit for bit at every size
+// of Fig. 5 as the paper's figure draws it (192 CTE-Arm nodes, 2^0..2^24
+// bytes, 90 bins, 4 trials), and to allocate nothing doing so.
+func TestSpreadAtDifferential(t *testing.T) {
+	d, err := Figure5(tofu(t, 192), 0, 24, 90, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, size := range d.Sizes {
+		got, want := d.SpreadAt(i), referenceSpreadAt(d, i)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("size %v: SpreadAt %v, reference %v", size, got, want)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { d.SpreadAt(i) }); allocs != 0 {
+			t.Errorf("size %v: SpreadAt allocates %v times", size, allocs)
+		}
+	}
+	empty := &Distribution{Sizes: []units.Bytes{1}, Hist: []*stats.Histogram{stats.NewHistogram(-4, 1.2, 90)}}
+	if got := empty.SpreadAt(0); got != 0 {
+		t.Errorf("empty histogram: SpreadAt %v, want 0", got)
 	}
 }
 

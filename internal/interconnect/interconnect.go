@@ -219,23 +219,72 @@ func (f *Fabric) Latency(src, dst int) units.Seconds {
 // transfer so noise decorrelates across iterations while remaining
 // deterministic. Negative sizes panic.
 func (f *Fabric) MessageTime(src, dst int, size units.Bytes, trial uint64) units.Seconds {
+	var tr transfer
+	f.price(&tr, src, dst, size)
+	return tr.time(trial)
+}
+
+// transfer is one (src, dst, size) message with everything that stays the
+// same from trial to trial worked out once: route latency, bandwidth after
+// link faults, receiver degradation and the persistent contention jitter.
+type transfer struct {
+	f    *Fabric
+	size units.Bytes
+	// self marks src == dst, whose time is lat alone: intra-node latency
+	// plus transfer, with no protocol switch and no noise.
+	self bool
+	lat  units.Seconds // Latency(src, dst), injected link latency included
+	bw   float64       // link peak after injected link degradation
+	// recv is the receiver's degradation factor, 0 for a healthy receiver.
+	recv       float64
+	eps        float64 // noiseAmplitude(size)
+	key        uint64  // MixN(Seed, src, dst, size); trial streams fold onto it
+	persistent float64 // per-(pair, size) share of the contention jitter
+}
+
+// price works out the trial-independent part of a transfer into tr. It
+// fills the caller's transfer rather than returning one because the copy
+// measurably slowed MessageTime, the per-message path of every mpisim
+// send. Negative sizes panic.
+func (f *Fabric) price(tr *transfer, src, dst int, size units.Bytes) {
 	if size < 0 {
 		panic(fmt.Sprintf("interconnect: negative message size %v", float64(size)))
 	}
 	if src == dst {
-		return f.IntraNodeLatency + units.TimeFor(size, f.IntraNodeBW)
+		*tr = transfer{self: true, lat: f.IntraNodeLatency + units.TimeFor(size, f.IntraNodeBW)}
+		return
+	}
+	*tr = transfer{f: f, size: size, lat: f.Latency(src, dst), bw: float64(f.Net.LinkPeak)}
+	if le, ok := f.Faults.Link(src, dst); ok && le.BandwidthFactor > 0 {
+		tr.bw *= le.BandwidthFactor
+	}
+	if fac, ok := f.DegradedRecv[dst]; ok && fac > 0 {
+		tr.recv = fac
 	}
 
-	lat := f.Latency(src, dst) // includes injected per-link extra latency
-	bw := float64(f.Net.LinkPeak)
-	if le, ok := f.Faults.Link(src, dst); ok && le.BandwidthFactor > 0 {
-		bw *= le.BandwidthFactor
+	// Contention jitter grows with size and only ever slows a message.
+	// Most of it is *persistent* per (pair, size): a congested route stays
+	// congested for the whole measurement loop, so repeating the transfer
+	// does not average it away (this is what keeps the >1 MB region of
+	// Fig. 5 wide). A smaller transient component varies per trial.
+	tr.eps = f.noiseAmplitude(size)
+	tr.key = xrand.MixN(f.Seed, uint64(src), uint64(dst), uint64(size))
+	persistent := xrand.New(tr.key ^ 0xc0de)
+	tr.persistent = persistent.SlowJitter(0.7 * tr.eps)
+}
+
+// time returns the transfer's one-way time in the given trial.
+func (tr *transfer) time(trial uint64) units.Seconds {
+	if tr.self {
+		return tr.lat
 	}
+	f, size, lat, bw := tr.f, tr.size, tr.lat, tr.bw
 
 	// Buffer lottery for mid-size messages: the slow outcome pays an
 	// extra internal copy (one more latency) and reduced bandwidth,
 	// which is what splits Fig. 5 into two modes between 1 kB and 256 kB.
-	stream := xrand.MixN(f.Seed, uint64(src), uint64(dst), uint64(size), trial)
+	// MixN folds left, so this is MixN(Seed, src, dst, size, trial).
+	stream := xrand.Mix64(tr.key ^ trial)
 	extraLat := units.Seconds(0)
 	if size >= f.MidSizeLow && size <= f.MidSizeHigh {
 		if p := float64(stream%1000) / 1000.0; p < f.SlowPathProb {
@@ -254,24 +303,17 @@ func (f *Fabric) MessageTime(src, dst int, size units.Bytes, trial uint64) units
 	// Receiver-side degradation (arms0b1-11c): the sick node processes
 	// every incoming message slowly — latency and transfer alike — while
 	// its sender path stays healthy, exactly the asymmetry Fig. 4 shows.
-	if fac, ok := f.DegradedRecv[dst]; ok && fac > 0 {
-		t = t / units.Seconds(fac)
+	if tr.recv > 0 {
+		t = t / units.Seconds(tr.recv)
 	}
 
-	// Contention jitter grows with size and only ever slows a message.
-	// Most of it is *persistent* per (pair, size): a congested route stays
-	// congested for the whole measurement loop, so repeating the transfer
-	// does not average it away (this is what keeps the >1 MB region of
-	// Fig. 5 wide). A smaller transient component varies per iteration.
-	eps := f.noiseAmplitude(size)
-	persistent := xrand.New(xrand.MixN(f.Seed, uint64(src), uint64(dst), uint64(size)) ^ 0xc0de)
 	transient := xrand.New(stream ^ 0xfeed)
-	j := persistent.SlowJitter(0.7*eps) * transient.SlowJitter(0.3*eps)
+	j := tr.persistent * transient.SlowJitter(0.3*tr.eps)
 	return t * units.Seconds(j)
 }
 
 // noiseAmplitude interpolates the jitter amplitude between the small- and
-// large-message regimes on a log-ish ramp anchored at 64 KiB and 1 MiB.
+// large-message regimes, linearly in bytes from 64 KiB to 1 MiB.
 func (f *Fabric) noiseAmplitude(size units.Bytes) float64 {
 	const lo, hi = 64 * 1024, 1024 * 1024
 	s := float64(size)
@@ -303,9 +345,11 @@ func (f *Fabric) SustainedBandwidth(src, dst int, size units.Bytes, n int) units
 	if n <= 0 {
 		panic("interconnect: need at least one iteration")
 	}
+	var tr transfer
+	f.price(&tr, src, dst, size)
 	var total units.Seconds
 	for i := 0; i < n; i++ {
-		total += f.MessageTime(src, dst, size, uint64(i))
+		total += tr.time(uint64(i))
 	}
 	return units.BytesPerSecond(float64(size) * float64(n) / float64(total))
 }

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"clustereval/internal/faultsim"
 	"clustereval/internal/machine"
 	"clustereval/internal/units"
+	"clustereval/internal/xrand"
 )
 
 func tofu(t *testing.T, nodes int) *Fabric {
@@ -318,9 +320,10 @@ func TestOmniPathUniformity(t *testing.T) {
 }
 
 // TestMessagePricingAllocFree pins the per-message cost model to zero heap
-// allocations on both clusters' fabrics: latency, and MessageTime in every
-// protocol regime (eager, the 1 KiB–256 KiB buffer lottery, rendezvous,
-// >1 MiB contention), to a healthy node and to the degraded receiver.
+// allocations on both clusters' fabrics: latency, and MessageTime and
+// SustainedBandwidth in every protocol regime (eager, the 1 KiB–256 KiB
+// buffer lottery, rendezvous, >1 MiB contention), to a healthy node and to
+// the degraded receiver.
 func TestMessagePricingAllocFree(t *testing.T) {
 	sizes := []units.Bytes{
 		units.Bytes(8), units.Bytes(1 * units.KiB), units.Bytes(16 * units.KiB),
@@ -335,6 +338,9 @@ func TestMessagePricingAllocFree(t *testing.T) {
 			for _, size := range sizes {
 				if allocs := testing.AllocsPerRun(50, func() { f.MessageTime(0, dst, size, 3) }); allocs != 0 {
 					t.Errorf("%s MessageTime(0, %d, %v) allocates %v times", name, dst, float64(size), allocs)
+				}
+				if allocs := testing.AllocsPerRun(50, func() { f.SustainedBandwidth(0, dst, size, 16) }); allocs != 0 {
+					t.Errorf("%s SustainedBandwidth(0, %d, %v, 16) allocates %v times", name, dst, float64(size), allocs)
 				}
 			}
 		}
@@ -363,5 +369,163 @@ func BenchmarkMessageTime(b *testing.B) {
 				b.Fatal("negative message time")
 			}
 		})
+	}
+}
+
+// BenchmarkSustainedBandwidth runs one OSU-style bandwidth measurement per
+// operation, cycling over every ordered pair of distinct CTE-Arm nodes:
+// Fig. 4's 256 B at its 16 trials, and Fig. 5's sizes from 1 B to 16 MiB
+// in steps of 16× at its 4 trials.
+func BenchmarkSustainedBandwidth(b *testing.B) {
+	f, err := NewTofuD(machine.CTEArm(), 192)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := f.Topo.Nodes()
+	run := func(name string, size units.Bytes, trials int) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var total units.BytesPerSecond
+			for i := range b.N {
+				src, dst := (i/(nodes-1))%nodes, i%(nodes-1)
+				if dst >= src {
+					dst++
+				}
+				total += f.SustainedBandwidth(src, dst, size, trials)
+			}
+			if total < 0 {
+				b.Fatal("negative bandwidth")
+			}
+		})
+	}
+	run("fig4/size=256/trials=16", 256, 16)
+	for e := 0; e <= 24; e += 4 {
+		size := units.Bytes(int64(1) << e)
+		run(fmt.Sprintf("fig5/size=%d/trials=4", int64(size)), size, 4)
+	}
+}
+
+// referenceMessageTime prices one message in a single straight-line
+// function that works every quantity out again for each trial. It is the
+// oracle of TestTransferPricingDifferential: keep it simple, do not
+// optimise it.
+func referenceMessageTime(f *Fabric, src, dst int, size units.Bytes, trial uint64) units.Seconds {
+	if size < 0 {
+		panic(fmt.Sprintf("interconnect: negative message size %v", float64(size)))
+	}
+	if src == dst {
+		return f.IntraNodeLatency + units.TimeFor(size, f.IntraNodeBW)
+	}
+
+	lat := f.Latency(src, dst)
+	bw := float64(f.Net.LinkPeak)
+	if le, ok := f.Faults.Link(src, dst); ok && le.BandwidthFactor > 0 {
+		bw *= le.BandwidthFactor
+	}
+
+	stream := xrand.MixN(f.Seed, uint64(src), uint64(dst), uint64(size), trial)
+	extraLat := units.Seconds(0)
+	if size >= f.MidSizeLow && size <= f.MidSizeHigh {
+		if p := float64(stream%1000) / 1000.0; p < f.SlowPathProb {
+			bw *= f.SlowPathFactor
+			extraLat = lat
+		}
+	}
+
+	t := lat + extraLat + units.TimeFor(size, units.BytesPerSecond(bw))
+	if size > f.EagerThreshold {
+		t += 2 * lat
+	}
+	if fac, ok := f.DegradedRecv[dst]; ok && fac > 0 {
+		t = t / units.Seconds(fac)
+	}
+
+	eps := f.noiseAmplitude(size)
+	persistent := xrand.New(xrand.MixN(f.Seed, uint64(src), uint64(dst), uint64(size)) ^ 0xc0de)
+	transient := xrand.New(stream ^ 0xfeed)
+	j := persistent.SlowJitter(0.7*eps) * transient.SlowJitter(0.3*eps)
+	return t * units.Seconds(j)
+}
+
+// referenceSustainedBandwidth sums referenceMessageTime over the same
+// trials, in the same order, as SustainedBandwidth.
+func referenceSustainedBandwidth(f *Fabric, src, dst int, size units.Bytes, n int) units.BytesPerSecond {
+	var total units.Seconds
+	for i := 0; i < n; i++ {
+		total += referenceMessageTime(f, src, dst, size, uint64(i))
+	}
+	return units.BytesPerSecond(float64(size) * float64(n) / float64(total))
+}
+
+// TestTransferPricingDifferential requires MessageTime and
+// SustainedBandwidth, which price each transfer once and then run its
+// trials, to match referenceMessageTime bit for bit: on the TofuD torus
+// (with the degraded receiver, node 23), the OmniPath and the Infiniband
+// fat trees; with no fault model and with links that lose bandwidth, gain
+// latency, or both; at both sides of every protocol boundary; and for
+// self-transfers.
+func TestTransferPricingDifferential(t *testing.T) {
+	links := []faultsim.LinkFault{
+		{Src: 0, Dst: 23, BandwidthFactor: 0.3},
+		{Src: 1, Dst: 2, ExtraLatencySeconds: 2e-6},
+		{Src: 23, Dst: 5, BandwidthFactor: 0.5, ExtraLatencySeconds: 1e-6},
+	}
+	fabrics := []struct {
+		name  string
+		build func(machine.Machine, int) (*Fabric, error)
+		m     machine.Machine
+		nodes int
+	}{
+		{"cte-arm", NewTofuD, machine.CTEArm(), 192},
+		{"mn4", NewOmniPath, machine.MareNostrum4(), 96},
+		{"thunderx2", NewInfiniband, machine.ThunderX2(), 48},
+	}
+	for _, fc := range fabrics {
+		for _, faulted := range []bool{false, true} {
+			m := fc.m
+			name := fc.name + "/no-faults"
+			if faulted {
+				m.Faults = compiled(t, &faultsim.Spec{Links: links}, fc.nodes)
+				name = fc.name + "/link-faults"
+			}
+			f, err := fc.build(m, fc.nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(name, func(t *testing.T) { checkTransferPricing(t, f) })
+		}
+	}
+}
+
+func checkTransferPricing(t *testing.T, f *Fabric) {
+	n := f.Topo.Nodes()
+	kib := units.Bytes(units.KiB)
+	sizes := []units.Bytes{0, 1,
+		f.MidSizeLow - 1, f.MidSizeLow, f.MidSizeLow + 1,
+		f.EagerThreshold - 1, f.EagerThreshold, f.EagerThreshold + 1,
+		64 * kib,
+		f.MidSizeHigh - 1, f.MidSizeHigh, f.MidSizeHigh + 1,
+		units.Bytes(units.MiB), units.Bytes(16 * units.MiB),
+	}
+	nodes := []int{0, 1, 2, 5, 23, n / 2, n - 1} // every fault endpoint, 23 as sender and receiver
+	for _, size := range sizes {
+		for _, src := range nodes {
+			for _, dst := range nodes {
+				for _, trial := range []uint64{0, 1, 2, 3, 15, 1 << 40} {
+					got, want := f.MessageTime(src, dst, size, trial), referenceMessageTime(f, src, dst, size, trial)
+					if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+						t.Fatalf("MessageTime(%d, %d, %v, %d) = %v, reference %v",
+							src, dst, float64(size), trial, float64(got), float64(want))
+					}
+				}
+				for _, trials := range []int{1, 4, 16} {
+					got, want := f.SustainedBandwidth(src, dst, size, trials), referenceSustainedBandwidth(f, src, dst, size, trials)
+					if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+						t.Fatalf("SustainedBandwidth(%d, %d, %v, %d) = %v, reference %v",
+							src, dst, float64(size), trials, float64(got), float64(want))
+					}
+				}
+			}
+		}
 	}
 }

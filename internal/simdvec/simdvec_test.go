@@ -267,3 +267,124 @@ func TestEfficiencyImprovesWithIterations(t *testing.T) {
 		t.Errorf("efficiency: short %.4f, long %.4f", k.Efficiency(short), k.Efficiency(long))
 	}
 }
+
+// referenceExecute is Kernel.execute without the fixed-point exit: every
+// chain runs all iters iterations. It is the oracle of
+// TestKernelFixedPointDifferential: keep it simple, do not optimise it.
+func referenceExecute(k *Kernel, iters, lanes int) float64 {
+	n := k.Chains * lanes
+	switch k.Variant.Precision {
+	case machine.Double:
+		a := make([]float64, n)
+		b := make([]float64, n)
+		c := make([]float64, n)
+		for i := range a {
+			a[i] = 1.0 + 1.0/float64(i+2)
+			b[i] = 1.0 - 1.0/float64(i+3)
+			c[i] = float64(i%7) * 0.125
+		}
+		for it := 0; it < iters; it++ {
+			for i := 0; i < n; i++ {
+				c[i] = a[i]*b[i] + c[i]*0.5
+			}
+		}
+		sum := 0.0
+		for _, v := range c {
+			sum += v
+		}
+		return sum
+	case machine.Single:
+		a := make([]float32, n)
+		b := make([]float32, n)
+		c := make([]float32, n)
+		for i := range a {
+			a[i] = 1.0 + 1.0/float32(i+2)
+			b[i] = 1.0 - 1.0/float32(i+3)
+			c[i] = float32(i%7) * 0.125
+		}
+		for it := 0; it < iters; it++ {
+			for i := 0; i < n; i++ {
+				c[i] = a[i]*b[i] + c[i]*0.5
+			}
+		}
+		sum := 0.0
+		for _, v := range c {
+			sum += float64(v)
+		}
+		return sum
+	default: // Half
+		a := make([]F16, n)
+		b := make([]F16, n)
+		c := make([]F16, n)
+		half := F16FromFloat32(0.5)
+		for i := range a {
+			a[i] = F16FromFloat32(1.0 + 1.0/float32(i+2))
+			b[i] = F16FromFloat32(1.0 - 1.0/float32(i+3))
+			c[i] = F16FromFloat32(float32(i%7) * 0.125)
+		}
+		for it := 0; it < iters; it++ {
+			for i := 0; i < n; i++ {
+				c[i] = fmaF16(a[i], b[i], fmaF16(c[i], half, 0))
+			}
+		}
+		sum := 0.0
+		for _, v := range c {
+			sum += float64(v.Float32())
+		}
+		return sum
+	}
+}
+
+// TestKernelFixedPointDifferential requires the µKernel, which stops once
+// an iteration changes no lane, to return the checksum of the full-length
+// reference run bit for bit: for every variant on every preset's core, at
+// iteration counts on both sides of where half (12), single (25) and
+// double (54) precision settle, and at Fig. 1's 20,000.
+func TestKernelFixedPointDifferential(t *testing.T) {
+	iterCounts := []int{1, 2, 11, 12, 13, 24, 25, 26, 53, 54, 55, 56, 1000, 20000}
+	for _, m := range []machine.Machine{machine.CTEArm(), machine.MareNostrum4(), machine.ThunderX2(), machine.Fugaku()} {
+		for _, v := range Variants() {
+			k, err := NewKernel(m.Node.Core, v)
+			if err != nil {
+				continue // unsupported variant (half on Skylake)
+			}
+			for _, iters := range iterCounts {
+				res, err := k.Run(iters)
+				if err != nil {
+					t.Fatalf("%s %s: %v", m.Name, v.Name(), err)
+				}
+				want := referenceExecute(k, iters, k.Lanes())
+				if math.Float64bits(res.Checksum) != math.Float64bits(want) {
+					t.Errorf("%s %s at %d iterations: checksum %v, reference %v",
+						m.Name, v.Name(), iters, res.Checksum, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkKernelRun times one Fig. 1 µKernel run per operation: each
+// variant on the CTE-Arm core at 20,000 iterations.
+func BenchmarkKernelRun(b *testing.B) {
+	core := machine.CTEArm().Node.Core
+	for _, v := range Variants() {
+		k, err := NewKernel(core, v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(v.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			var sum float64
+			for range b.N {
+				res, err := k.Run(20000)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sum += res.Checksum
+			}
+			if math.IsNaN(sum) {
+				b.Fatal("NaN checksum")
+			}
+		})
+	}
+}

@@ -69,20 +69,26 @@ func Percentile(xs []float64, p float64) float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
+	return interpolate(len(sorted), p, func(k int) float64 { return sorted[k] })
+}
+
+// interpolate is the p-th percentile of n ascending values, the k-th of
+// which is at(k), by linear interpolation between closest ranks.
+func interpolate(n int, p float64, at func(k int) float64) float64 {
 	if p <= 0 {
-		return sorted[0]
+		return at(0)
 	}
 	if p >= 100 {
-		return sorted[len(sorted)-1]
+		return at(n - 1)
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return sorted[lo]
+		return at(lo)
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return at(lo)*(1-frac) + at(hi)*frac
 }
 
 // CoefficientOfVariation returns stddev/mean, the paper's measure of
@@ -145,6 +151,30 @@ func (h *Histogram) Total() int {
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return h.Lo + (float64(i)+0.5)*w
+}
+
+// Percentile returns the p-th percentile (0..100) of the binned sample,
+// each value standing at its bin's centre. Bin centres ascend with the
+// bin index, so this is bit for bit Percentile of a slice holding
+// Counts[b] copies of BinCenter(b) for every bin b, without building or
+// sorting that slice. An empty histogram yields 0.
+func (h *Histogram) Percentile(p float64) float64 {
+	n := h.Total()
+	if n == 0 {
+		return 0
+	}
+	return interpolate(n, p, h.sampleCenter)
+}
+
+// sampleCenter returns the bin centre of the k-th smallest binned value.
+func (h *Histogram) sampleCenter(k int) float64 {
+	for b, c := range h.Counts {
+		if k < c {
+			return h.BinCenter(b)
+		}
+		k -= c
+	}
+	panic("stats: sample index out of range")
 }
 
 // Modes returns the indices of local maxima whose count is at least

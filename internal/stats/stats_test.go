@@ -209,3 +209,90 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// expandedSample is the sample a histogram stands for: Counts[b] copies of
+// BinCenter(b) for every bin b. It is the oracle of
+// TestHistogramPercentileDifferential.
+func expandedSample(h *Histogram) []float64 {
+	var xs []float64
+	for b, c := range h.Counts {
+		for k := 0; k < c; k++ {
+			xs = append(xs, h.BinCenter(b))
+		}
+	}
+	return xs
+}
+
+// TestHistogramPercentileDifferential requires Histogram.Percentile to
+// equal, bit for bit, Percentile of the expanded sample: over random
+// domains, bin counts and fills (empty bins, one value, one full bin),
+// and at percentiles on and between ranks, at the ends and beyond them.
+func TestHistogramPercentileDifferential(t *testing.T) {
+	ps := []float64{-1, 0, 1, 5, 12.5, 25, 50, 75, 95, 99, 100, 101}
+	check := func(h *Histogram, p float64) bool {
+		got, want := h.Percentile(p), Percentile(expandedSample(h), p)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("bins %d over [%v, %v), total %d: Percentile(%v) = %v, expanded sample %v",
+				len(h.Counts), h.Lo, h.Hi, h.Total(), p, got, want)
+			return false
+		}
+		return true
+	}
+	// Fig. 5's domain and bin count, with the log10 bandwidths of a
+	// bimodal size.
+	fig5 := NewHistogram(-4, 1.2, 90)
+	r := xrand.New(5)
+	for range 36672 {
+		x := -0.4 + 0.05*r.NormFloat64()
+		if r.Float64() < 0.3 {
+			x -= 0.6
+		}
+		fig5.Add(x)
+	}
+	for _, p := range ps {
+		check(fig5, p)
+	}
+	f := func(seed uint64, binsRaw, fillRaw uint8) bool {
+		r := xrand.New(seed)
+		lo := (r.Float64() - 0.5) * 20
+		h := NewHistogram(lo, lo+0.01+r.Float64()*10, int(binsRaw%120)+1)
+		switch fillRaw % 4 {
+		case 0: // empty
+		case 1:
+			h.Add(lo + r.Float64())
+		case 2: // one bin
+			for range int(fillRaw) + 2 {
+				h.Counts[len(h.Counts)/2]++
+			}
+		default:
+			for range int(fillRaw)*8 + 2 {
+				if c := r.Float64(); c < 0.4 {
+					h.Counts[int(c*10)%len(h.Counts)] += 3
+				} else {
+					h.Counts[r.Intn(len(h.Counts))]++
+				}
+			}
+		}
+		for _, p := range append(ps, r.Float64()*100) {
+			if !check(h, p) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestHistogramPercentileAllocFree pins reading a percentile off the bins
+// to zero heap allocations, whatever the sample size.
+func TestHistogramPercentileAllocFree(t *testing.T) {
+	h := NewHistogram(-4, 1.2, 90)
+	for i := range 36672 {
+		h.Add(-4 + 5.2*float64(i%997)/997)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { h.Percentile(95) }); allocs != 0 {
+		t.Errorf("Percentile allocates %v times", allocs)
+	}
+}

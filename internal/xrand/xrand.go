@@ -59,8 +59,10 @@ func New(seed uint64) Rand {
 	for i := range r.s {
 		r.s[i] = splitmix64(&sm)
 	}
-	// Guard against the (astronomically unlikely) all-zero state.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
+	// Guard against the (astronomically unlikely) all-zero state. The
+	// array comparison keeps New cheap enough for the compiler to inline
+	// into per-message noise draws.
+	if r.s == [4]uint64{} {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
 	return r

@@ -174,3 +174,43 @@ func TestMixNOrderSensitive(t *testing.T) {
 		t.Error("MixN should be length sensitive")
 	}
 }
+
+// Sinks keep the compiler from discarding the benchmarked calls.
+var (
+	sinkRand   Rand
+	sinkUint64 uint64
+	sinkFloat  float64
+)
+
+// BenchmarkNew seeds one generator per operation, as every message's
+// transient jitter stream is seeded.
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := range b.N {
+		sinkRand = New(uint64(i))
+	}
+}
+
+// BenchmarkNormFloat64 draws one standard normal deviate per operation
+// (Box-Muller: a log, a square root and a cosine), the core of every
+// jitter draw.
+func BenchmarkNormFloat64(b *testing.B) {
+	b.ReportAllocs()
+	r := New(1)
+	var sum float64
+	for range b.N {
+		sum += r.NormFloat64()
+	}
+	sinkFloat = sum
+}
+
+// BenchmarkMixN hashes one four-value stream identity per operation, the
+// shape of a transfer's (seed, src, dst, size) key.
+func BenchmarkMixN(b *testing.B) {
+	b.ReportAllocs()
+	var h uint64
+	for i := range b.N {
+		h ^= MixN(0x7f0a64f, uint64(i), 23, 256)
+	}
+	sinkUint64 = h
+}
