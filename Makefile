@@ -59,14 +59,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Race-detector smoke over the acceptance harnesses: shortened
-# fleettest and loadtest runs with every daemon (clusterd, clusterfleet,
-# loadgen) built -race. This drives the coordinator, supervisor, journal
-# and worker machinery under real concurrent load with the detector on —
-# interleavings the unit-test race lane cannot reach.
+# Race-detector smoke over the acceptance harness: the fleet-race and
+# load-race scenarios, shortened fleet and load runs with every daemon
+# (clusterd, clusterfleet, loadgen) built -race once. This drives the
+# coordinator, supervisor, journal and worker machinery under real
+# concurrent load with the detector on — interleavings the unit-test
+# race lane cannot reach.
 racesmoke:
-	RACE=1 FLEETTEST_JOBS=20 $(GO) run ./scripts/fleettest
-	RACE=1 LOADTEST_SMOKE=1 $(GO) run ./scripts/loadtest
+	$(GO) run ./scripts/acceptance fleet-race load-race
 
 # Coverage profile plus per-package floors on the packages the fault
 # injection work leans on (internal/service, internal/mpisim).
@@ -150,32 +150,34 @@ fleet:
 	$(GO) build -o bin/clusterd ./cmd/clusterd
 	$(GO) run ./cmd/clusterfleet -bin bin/clusterd
 
-# Durability acceptance: SIGKILL clusterd mid-workload, restart against
-# the same journal, assert every job recovers to a consistent state —
-# first single-daemon, then the fleet variant (shard kill + full fleet
-# restart through the coordinator).
+# The acceptance targets below run scenarios of one harness,
+# scripts/acceptance; each invocation builds every binary it needs once.
+#
+# Durability acceptance: the crash scenario SIGKILLs clusterd
+# mid-workload, restarts it against the same journal and asserts every
+# job recovers to a consistent state; then the fleet scenario (shard
+# kill + full fleet restart through the coordinator).
 crashtest:
-	$(GO) run ./scripts/crashtest
-	$(GO) run ./scripts/fleettest
+	$(GO) run ./scripts/acceptance crash fleet
 
 # Fleet durability acceptance alone: kill a shard mid-workload, restart
 # the whole fleet, assert exactly-once terminal states under original
 # fleet IDs.
 fleettest:
-	$(GO) run ./scripts/fleettest
+	$(GO) run ./scripts/acceptance fleet
 
 # Replication acceptance: three shards with -replicas 2 -ack-quorum 2,
 # >=1k jobs, then rm -rf of the busiest shard's whole data directory +
 # SIGKILL. The supervisor must promote the follower's replica and revive
 # the shard with zero lost jobs under their original fleet IDs.
 disktest:
-	$(GO) run ./scripts/disktest
+	$(GO) run ./scripts/acceptance disk
 
 # Fleet SLO acceptance: three shards, >=5k mixed-kind jobs via loadgen,
 # kill-one-shard chaos mid-run, throughput/latency SLOs plus merged
 # observability asserts.
 loadtest:
-	$(GO) run ./scripts/loadtest
+	$(GO) run ./scripts/acceptance load
 
 # Build every example, then smoke-run each one — examples are user-facing
 # code and must keep compiling and finishing cleanly.

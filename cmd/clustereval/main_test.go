@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -92,8 +93,20 @@ func TestRunFigure(t *testing.T) {
 func TestExportAll(t *testing.T) {
 	dir := t.TempDir()
 	out := capture(t, func() error { return cli.ExportAll(dir) })
-	if !strings.Contains(out, "table4.csv") || !strings.Contains(out, "fig16.csv") {
-		t.Errorf("export log incomplete:\n%s", out)
+	// The log lists every file in paper order: tables, figures, energy.
+	var want, got []string
+	for i := 1; i <= 4; i++ {
+		want = append(want, fmt.Sprintf("table%d.csv", i))
+	}
+	for i := 1; i <= 16; i++ {
+		want = append(want, fmt.Sprintf("fig%d.csv", i))
+	}
+	want = append(want, "energy.csv")
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		got = append(got, filepath.Base(strings.TrimPrefix(line, "wrote ")))
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("export log order:\n got %v\nwant %v", got, want)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

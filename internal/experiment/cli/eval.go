@@ -254,76 +254,69 @@ func ExportAll(dir string) error {
 	ev := core.New()
 	pair := figures.Default()
 
-	tables := map[string]func() (*report.Table, error){
-		"table1.csv": func() (*report.Table, error) { return ev.TableI(), nil },
-		"table2.csv": func() (*report.Table, error) { return ev.TableII(), nil },
-		"table3.csv": func() (*report.Table, error) { return ev.TableIII(), nil },
-		"table4.csv": func() (*report.Table, error) {
+	// Paper order — Tables I–IV, Figs. 1–16 — then the energy table;
+	// a slice, so every run logs the same sequence.
+	type csvSource interface{ CSV(io.Writer) error }
+	artefacts := []struct {
+		name string
+		get  func() (csvSource, error)
+	}{
+		{"table1.csv", func() (csvSource, error) { return ev.TableI(), nil }},
+		{"table2.csv", func() (csvSource, error) { return ev.TableII(), nil }},
+		{"table3.csv", func() (csvSource, error) { return ev.TableIII(), nil }},
+		{"table4.csv", func() (csvSource, error) {
 			rows, err := ev.TableIV()
 			if err != nil {
 				return nil, err
 			}
 			return core.RenderTableIV(rows), nil
-		},
-		"fig1.csv": func() (*report.Table, error) { return pair.Figure1() },
-		"fig3.csv": func() (*report.Table, error) {
-			t, _, err := pair.Figure3()
-			return t, err
-		},
-		"fig5.csv": func() (*report.Table, error) {
-			t, _, err := pair.Figure5()
-			return t, err
-		},
-		"fig7.csv": func() (*report.Table, error) {
-			t, _, err := pair.Figure7()
-			return t, err
-		},
-		// Beyond the paper: modeled energy-to-solution for every workload
-		// on every registered machine preset.
-		"energy.csv": func() (*report.Table, error) { return figures.EnergyToSolution() },
-	}
-	for name, get := range tables {
-		t, err := get()
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		if err := write(name, t.CSV); err != nil {
-			return err
-		}
-	}
-
-	plots := map[string]func() (*report.Plot, error){
-		"fig2.csv": func() (*report.Plot, error) {
+		}},
+		{"fig1.csv", func() (csvSource, error) { return pair.Figure1() }},
+		{"fig2.csv", func() (csvSource, error) {
 			p, _, err := pair.Figure2()
 			return p, err
-		},
-		"fig6.csv": func() (*report.Plot, error) {
+		}},
+		{"fig3.csv", func() (csvSource, error) {
+			t, _, err := pair.Figure3()
+			return t, err
+		}},
+		{"fig4.csv", func() (csvSource, error) {
+			hm, _, err := pair.Figure4(256)
+			return hm, err
+		}},
+		{"fig5.csv", func() (csvSource, error) {
+			t, _, err := pair.Figure5()
+			return t, err
+		}},
+		{"fig6.csv", func() (csvSource, error) {
 			p, _, err := pair.Figure6()
 			return p, err
-		},
-		"fig8.csv":  pair.Figure8,
-		"fig9.csv":  pair.Figure9,
-		"fig10.csv": pair.Figure10,
-		"fig11.csv": pair.Figure11,
-		"fig12.csv": pair.Figure12,
-		"fig13.csv": pair.Figure13,
-		"fig14.csv": pair.Figure14,
-		"fig15.csv": pair.Figure15,
-		"fig16.csv": pair.Figure16,
+		}},
+		{"fig7.csv", func() (csvSource, error) {
+			t, _, err := pair.Figure7()
+			return t, err
+		}},
+		{"fig8.csv", func() (csvSource, error) { return pair.Figure8() }},
+		{"fig9.csv", func() (csvSource, error) { return pair.Figure9() }},
+		{"fig10.csv", func() (csvSource, error) { return pair.Figure10() }},
+		{"fig11.csv", func() (csvSource, error) { return pair.Figure11() }},
+		{"fig12.csv", func() (csvSource, error) { return pair.Figure12() }},
+		{"fig13.csv", func() (csvSource, error) { return pair.Figure13() }},
+		{"fig14.csv", func() (csvSource, error) { return pair.Figure14() }},
+		{"fig15.csv", func() (csvSource, error) { return pair.Figure15() }},
+		{"fig16.csv", func() (csvSource, error) { return pair.Figure16() }},
+		// Beyond the paper: modeled energy-to-solution for every workload
+		// on every registered machine preset.
+		{"energy.csv", func() (csvSource, error) { return figures.EnergyToSolution() }},
 	}
-	for name, get := range plots {
-		p, err := get()
+	for _, a := range artefacts {
+		src, err := a.get()
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("%s: %w", a.name, err)
 		}
-		if err := write(name, p.CSV); err != nil {
+		if err := write(a.name, src.CSV); err != nil {
 			return err
 		}
 	}
-
-	hm, _, err := pair.Figure4(256)
-	if err != nil {
-		return err
-	}
-	return write("fig4.csv", hm.CSV)
+	return nil
 }

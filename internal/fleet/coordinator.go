@@ -115,6 +115,8 @@ type Coordinator struct {
 
 	mu     sync.Mutex
 	shards map[string]*shardState
+	// routes redirects handed-off fleet IDs to their new owner. Every
+	// other ID names its shard in its own prefix, so it needs no entry.
 	routes map[string]route
 
 	reg            *service.Registry
@@ -398,15 +400,12 @@ func (c *Coordinator) relaySubmit(w http.ResponseWriter, resp *http.Response, sh
 	}
 	switch resp.StatusCode {
 	case http.StatusOK, http.StatusAccepted:
-		view, localID, derr := rewriteView(payload, shardName)
+		view, _, derr := rewriteView(payload, shardName)
 		if derr != nil {
 			c.observeSubmit(began, "error")
 			writeError(w, http.StatusBadGateway, "fleet: undecodable shard response: "+derr.Error())
 			return
 		}
-		c.mu.Lock()
-		c.routes[fleetID(shardName, localID)] = route{shard: shardName, localID: localID}
-		c.mu.Unlock()
 		if resp.StatusCode == http.StatusOK {
 			c.observeSubmit(began, "cached")
 		} else {
@@ -488,9 +487,10 @@ func (c *Coordinator) forward(ctx context.Context, st *shardState, method, path 
 }
 
 // resolve finds where a fleet job ID lives: the route table first (it
-// tracks handoffs), falling back to the ID's own shard prefix for jobs
-// submitted before this coordinator process started (fleet restarts keep
-// IDs resolvable because shards recover their own journals).
+// tracks handoffs), falling back to the ID's own shard prefix for every
+// other job, including those submitted before this coordinator process
+// started (fleet restarts keep IDs resolvable because shards recover
+// their own journals).
 func (c *Coordinator) resolve(id string) (route, bool) {
 	c.mu.Lock()
 	rt, ok := c.routes[id]
@@ -796,7 +796,6 @@ func (c *Coordinator) reenqueue(ctx context.Context, deadShard string, u Unfinis
 		}
 		c.mu.Lock()
 		c.routes[fleetID(deadShard, u.ID)] = route{shard: owner, localID: localID}
-		c.routes[fleetID(owner, localID)] = route{shard: owner, localID: localID}
 		c.mu.Unlock()
 		c.rerouted.Inc()
 		return nil

@@ -164,6 +164,74 @@ func TestFailShardHandsOffJournal(t *testing.T) {
 	_ = svc.Close(context.Background())
 }
 
+// fleetRoutes reads the route-table size /v1/fleet reports.
+func fleetRoutes(t *testing.T, base string) int {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/fleet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Routes int `json:"routes"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	return body.Routes
+}
+
+// The route table holds handoff redirects only: a relayed job's fleet ID
+// already names its shard, so relaying adds no entry, and after a
+// handoff the table holds exactly one entry per re-enqueued job.
+func TestRouteTableHoldsOnlyHandoffs(t *testing.T) {
+	deadJournal := filepath.Join(t.TempDir(), "s9.wal")
+	spec1, key1 := specAndKey(t, `{"kind":"net","size_bytes":2048,"iters":5,"dst_node":2}`)
+	spec2, key2 := specAndKey(t, `{"kind":"net","size_bytes":8192,"iters":5,"dst_node":4}`)
+	writeJournal(t, deadJournal,
+		journal.Record{Type: journal.TypeSubmitted, JobID: "j000001", At: journalEpoch, Spec: spec1, Key: key1},
+		journal.Record{Type: journal.TypeSubmitted, JobID: "j000002", At: journalEpoch, Spec: spec2, Key: key2},
+	)
+	svc := service.New(service.Config{Workers: 2})
+	defer func() { _ = svc.Close(context.Background()) }()
+	srv := httptest.NewServer(service.NewServer(svc))
+	defer srv.Close()
+	coord, err := NewCoordinator(CoordinatorConfig{}, []Shard{
+		{Name: "s0", BaseURL: srv.URL},
+		{Name: "s9", JournalPath: deadJournal}, // never came up
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(coord)
+	defer front.Close()
+
+	const k = 8
+	ids := make([]string, 0, k+2)
+	for i := 0; i < k; i++ {
+		v, resp := postJob(t, front.URL, netSpec(i))
+		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit %d: HTTP %d", i, resp.StatusCode)
+		}
+		ids = append(ids, v.ID)
+	}
+	if got := fleetRoutes(t, front.URL); got != 0 {
+		t.Fatalf("routes = %d after %d relayed submissions, want 0", got, k)
+	}
+
+	if _, err := coord.FailShard(context.Background(), "s9"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fleetRoutes(t, front.URL), int(coord.rerouted.Value()); got != want || want != 2 {
+		t.Fatalf("routes = %d after the handoff, fleet_rerouted_jobs_total = %d, want both 2", got, want)
+	}
+	for _, id := range append(ids, "s9-j000001", "s9-j000002") {
+		if v := waitDone(t, front.URL, id); v.State != "done" {
+			t.Fatalf("job %s ended %q (%s), want done", id, v.State, v.Error)
+		}
+	}
+}
+
 func TestFailShardUnknown(t *testing.T) {
 	svc := service.New(service.Config{Workers: 1})
 	srv := httptest.NewServer(service.NewServer(svc))

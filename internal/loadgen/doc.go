@@ -19,6 +19,6 @@
 //     throughput, latency percentiles, zero lost jobs, zero clean-job
 //     failures.
 //
-// cmd/loadgen wraps Runner in flags; scripts/loadtest builds the SLO
-// gate in CI on top of that binary.
+// cmd/loadgen wraps Runner in flags; the load scenarios of
+// scripts/acceptance build the SLO gate in CI on top of that binary.
 package loadgen
