@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 
 	"clustereval/internal/faultsim"
 	"clustereval/internal/machine"
@@ -85,11 +86,12 @@ func (s Spec) Normalize() (Spec, error) {
 		return Spec{}, invalidf("unknown kind %q (valid: %s)", s.Kind, strings.Join(Kinds(), " "))
 	}
 
-	m, err := resolveMachine(n.Machine)
+	slug, err := presetSlug(n.Machine)
 	if err != nil {
 		return Spec{}, err
 	}
-	n.Machine = canonicalSlug(n.Machine)
+	n.Machine = slug
+	m := presetMachines()[slug] // shared: validation only reads it
 
 	if err := rejectUnusedFields(n, def); err != nil {
 		return Spec{}, err
@@ -150,29 +152,41 @@ func rejectUnusedFields(n Spec, def *Definition) error {
 	return nil
 }
 
-// resolveMachine maps the spec's machine field (empty = cte-arm) to its
-// preset descriptor.
-func resolveMachine(name string) (machine.Machine, error) {
+// presetSlug folds the spec's machine field (empty = cte-arm), a slug,
+// alias or system name, to its canonical preset slug.
+func presetSlug(name string) (string, error) {
 	if name == "" {
 		name = "cte-arm"
 	}
-	m, ok := machine.Preset(name)
+	slug, ok := machine.PresetSlug(name)
 	if !ok {
-		return machine.Machine{}, invalidf("unknown machine %q (valid: %s)",
+		return "", invalidf("unknown machine %q (valid: %s)",
 			name, strings.Join(machine.PresetNames(), " "))
 	}
-	return m, nil
+	return slug, nil
 }
 
-// canonicalSlug folds a machine name/alias to its canonical preset slug.
-func canonicalSlug(name string) string {
-	if name == "" {
-		name = "cte-arm"
+// presetMachines holds one machine per preset slug, built once, for
+// Normalize. Building a preset deep-copies its slices and power map, and
+// every request is canonicalised at least once, yet every kind's
+// FromSpec only reads the machine. Nothing may modify these machines.
+var presetMachines = sync.OnceValue(func() map[string]machine.Machine {
+	out := map[string]machine.Machine{}
+	for _, slug := range machine.PresetNames() {
+		out[slug], _ = machine.Preset(slug)
 	}
-	if slug, ok := machine.PresetSlug(name); ok {
-		return slug
+	return out
+})
+
+// resolveMachine builds the spec's machine preset as a private copy, for
+// callers that set its seed or fault model.
+func resolveMachine(name string) (machine.Machine, error) {
+	slug, err := presetSlug(name)
+	if err != nil {
+		return machine.Machine{}, err
 	}
-	return strings.ToLower(strings.TrimSpace(name))
+	m, _ := machine.Preset(slug)
+	return m, nil
 }
 
 // Canonicalize normalises the spec and derives its content address: the

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -322,16 +323,27 @@ func (c *Coordinator) allShards() []*shardState {
 	return out
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+func writeError(w http.ResponseWriter, code int, msg string) {
+	service.WriteJSON(w, code, map[string]string{"error": msg})
 }
 
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+// replyBufs pools the buffers shard replies are read into.
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readReply reads at most limit bytes of a shard's reply into a pooled
+// buffer. The caller hands it back with releaseReply once nothing refers
+// to its bytes, on the error path too.
+func readReply(body io.Reader, limit int64) (*bytes.Buffer, error) {
+	buf := replyBufs.Get().(*bytes.Buffer)
+	_, err := buf.ReadFrom(io.LimitReader(body, limit))
+	return buf, err
+}
+
+func releaseReply(buf *bytes.Buffer) {
+	if buf.Cap() <= service.MaxPooledBuffer {
+		buf.Reset()
+		replyBufs.Put(buf)
+	}
 }
 
 // handleSubmit canonicalizes the spec locally (the same registry code the
@@ -392,12 +404,14 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // gain the shard prefix, shed verdicts keep the shard's Retry-After.
 func (c *Coordinator) relaySubmit(w http.ResponseWriter, resp *http.Response, shardName string, began time.Time) {
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	buf, err := readReply(resp.Body, 8<<20)
+	defer releaseReply(buf)
 	if err != nil {
 		c.observeSubmit(began, "error")
 		writeError(w, http.StatusBadGateway, "fleet: reading shard response: "+err.Error())
 		return
 	}
+	payload := buf.Bytes()
 	switch resp.StatusCode {
 	case http.StatusOK, http.StatusAccepted:
 		view, _, derr := rewriteView(payload, shardName)
@@ -411,7 +425,7 @@ func (c *Coordinator) relaySubmit(w http.ResponseWriter, resp *http.Response, sh
 		} else {
 			c.observeSubmit(began, "accepted")
 		}
-		writeJSON(w, resp.StatusCode, view)
+		service.WriteJSON(w, resp.StatusCode, view)
 	case http.StatusTooManyRequests:
 		// The owning shard shed the submission. Relay its verdict — and
 		// crucially its Retry-After, which encodes the shard's own backoff
@@ -453,28 +467,45 @@ func splitFleetID(id string) (shard, localID string, ok bool) {
 }
 
 // rewriteView decodes a shard JobView payload, rewrites its id onto the
-// fleet namespace and returns the decoded view plus the original local
-// id. Decoding into a generic map keeps the coordinator agnostic to
-// JobView's exact field set.
-func rewriteView(payload []byte, shardName string) (map[string]any, string, error) {
-	var view map[string]any
+// fleet namespace, adds the shard and returns the view plus the original
+// local id. Every other member is kept as the shard encoded it: the
+// coordinator stays agnostic to JobView's field set, and a number never
+// rounds through float64.
+func rewriteView(payload []byte, shardName string) (map[string]json.RawMessage, string, error) {
+	var view map[string]json.RawMessage
 	if err := json.Unmarshal(payload, &view); err != nil {
 		return nil, "", fmt.Errorf("fleet: shard job view: %w", err)
 	}
-	localID, _ := view["id"].(string)
+	localID := stringMember(view, "id")
 	if localID == "" {
 		return nil, "", errors.New("fleet: shard job view carries no id")
 	}
-	view["id"] = fleetID(shardName, localID)
-	view["shard"] = shardName
+	view["id"] = jsonString(fleetID(shardName, localID))
+	view["shard"] = jsonString(shardName)
 	return view, localID, nil
+}
+
+// stringMember returns the view's member name when it is a JSON string,
+// "" otherwise.
+func stringMember(view map[string]json.RawMessage, name string) string {
+	var s string
+	if json.Unmarshal(view[name], &s) != nil {
+		return ""
+	}
+	return s
+}
+
+// jsonString encodes s as a JSON string member value.
+func jsonString(s string) json.RawMessage {
+	b, _ := json.Marshal(s) // a string always encodes
+	return b
 }
 
 // forward issues one proxied request to a shard.
 func (c *Coordinator) forward(ctx context.Context, st *shardState, method, path string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
-		rd = strings.NewReader(string(body))
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, st.url()+path, rd)
 	if err != nil {
@@ -548,16 +579,18 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	buf, err := readReply(resp.Body, 8<<20)
+	defer releaseReply(buf)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "fleet: reading shard response: "+err.Error())
 		return
 	}
+	payload := buf.Bytes()
 	if resp.StatusCode == http.StatusOK {
 		if view, _, derr := rewriteView(payload, rt.shard); derr == nil {
 			// Handed-off jobs keep their original public ID.
-			view["id"] = id
-			writeJSON(w, http.StatusOK, view)
+			view["id"] = jsonString(id)
+			service.WriteJSON(w, http.StatusOK, view)
 			return
 		}
 	}
@@ -568,7 +601,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 // the fleet namespace, ordered by shard then the shard's own submission
 // order.
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	var merged []map[string]any
+	var merged []map[string]json.RawMessage
 	downShards := []string{}
 	for _, st := range c.allShards() {
 		st.mu.Lock()
@@ -586,7 +619,7 @@ func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		var body struct {
-			Jobs []map[string]any `json:"jobs"`
+			Jobs []map[string]json.RawMessage `json:"jobs"`
 		}
 		err = json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&body)
 		resp.Body.Close()
@@ -595,14 +628,14 @@ func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		for _, v := range body.Jobs {
-			if localID, _ := v["id"].(string); localID != "" {
-				v["id"] = fleetID(name, localID)
-				v["shard"] = name
+			if localID := stringMember(v, "id"); localID != "" {
+				v["id"] = jsonString(fleetID(name, localID))
+				v["shard"] = jsonString(name)
 			}
 			merged = append(merged, v)
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	service.WriteJSON(w, http.StatusOK, map[string]any{
 		"jobs":         merged,
 		"shards_down":  downShards,
 		"shards_total": len(c.allShards()),
@@ -658,7 +691,7 @@ func (c *Coordinator) handleFleet(w http.ResponseWriter, _ *http.Request) {
 	c.mu.Lock()
 	routes := len(c.routes)
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	service.WriteJSON(w, http.StatusOK, map[string]any{
 		"shards":           out,
 		"virtual_nodes":    c.cfg.VirtualNodes,
 		"replicas":         c.cfg.Replicas,

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"clustereval/internal/service"
 )
 
 // This file merges the shards' observability surfaces into fleet-wide
@@ -291,7 +293,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if liveCount == 0 {
 		status = "down"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	service.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":               status,
 		"uptime_seconds":       c.Uptime().Seconds(),
 		"live_shards":          liveCount,

@@ -32,16 +32,19 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-// Get returns the cached result for key, refreshing its recency.
-func (c *resultCache) Get(key string) (*Result, bool) {
+// Get returns the cached result for key and the entry's own copy of the
+// key, refreshing its recency. A caller that keeps the key keeps that
+// copy, so the one it looked up with can be collected.
+func (c *resultCache) Get(key string) (*Result, string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		return nil, "", false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	e := el.Value.(*cacheEntry)
+	return e.res, e.key, true
 }
 
 // Put stores a result under key, evicting the least recently used entry

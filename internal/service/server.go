@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"clustereval/internal/experiment"
@@ -43,16 +45,42 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// jsonWriter is an indenting encoder with the buffer it encodes into,
+// pooled so a response reuses both instead of allocating them.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonWriters = sync.Pool{New: func() any {
+	jw := &jsonWriter{}
+	jw.enc = json.NewEncoder(&jw.buf)
+	jw.enc.SetIndent("", "  ")
+	return jw
+}}
+
+// MaxPooledBuffer is the largest buffer a response hands back to a pool;
+// a larger one, such as a long /v1/jobs listing's, is left to the
+// collector rather than pinned.
+const MaxPooledBuffer = 64 << 10
+
+// WriteJSON answers with status code and v as indented JSON: the body
+// clusterd and clusterfleet send for every JSON response. An unencodable
+// v sends the status with an empty body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	jw := jsonWriters.Get().(*jsonWriter)
+	_ = jw.enc.Encode(v) // on error nothing is buffered; the status still goes out
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(jw.buf.Bytes())
+	if jw.buf.Cap() <= MaxPooledBuffer {
+		jw.buf.Reset()
+		jsonWriters.Put(jw)
+	}
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	WriteJSON(w, code, map[string]string{"error": msg})
 }
 
 // handleSubmit accepts a JobSpec, answering 200 for cache hits, 202 for
@@ -75,7 +103,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if view.State == StateDone { // served from cache
 			code = http.StatusOK
 		}
-		writeJSON(w, code, view)
+		WriteJSON(w, code, view)
 	case errors.As(err, new(*ValidationError)):
 		writeError(w, http.StatusBadRequest, err.Error())
 	case errors.As(err, &overload):
@@ -99,7 +127,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.svc.Jobs()})
+	WriteJSON(w, http.StatusOK, map[string]any{"jobs": s.svc.Jobs()})
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -108,7 +136,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	WriteJSON(w, http.StatusOK, view)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -117,7 +145,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	WriteJSON(w, http.StatusOK, view)
 }
 
 // handleMachines lists the machine presets jobs can target, with enough
@@ -149,7 +177,7 @@ func (s *Server) handleMachines(w http.ResponseWriter, _ *http.Request) {
 			LinkGBps:     float64(m.Network.LinkPeak) / 1e9,
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"machines": out,
 		"kinds":    Kinds(),
 	})
@@ -176,7 +204,7 @@ func (s *Server) handleKinds(w http.ResponseWriter, _ *http.Request) {
 		}
 		out = append(out, kindInfo{Kind: d.Kind, Title: d.Title, Figure: d.Figure, Fields: fields})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"kinds":         out,
 		"shared_fields": experiment.SharedFields(),
 	})
@@ -221,7 +249,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if repl := s.svc.ReplicationStatus(); repl.Enabled {
 		report["replication"] = repl
 	}
-	writeJSON(w, http.StatusOK, report)
+	WriteJSON(w, http.StatusOK, report)
 }
 
 // handleReplicaIngest is the follower half of journal replication: a
@@ -238,9 +266,9 @@ func (s *Server) handleReplicaIngest(w http.ResponseWriter, r *http.Request) {
 	last, err := s.svc.IngestReplica(data)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, map[string]uint64{"last_seq": last})
+		WriteJSON(w, http.StatusOK, map[string]uint64{"last_seq": last})
 	case errors.Is(err, journal.ErrGap):
-		writeJSON(w, http.StatusConflict, map[string]uint64{"last_seq": last})
+		WriteJSON(w, http.StatusConflict, map[string]uint64{"last_seq": last})
 	default:
 		writeError(w, http.StatusInternalServerError, err.Error())
 	}
@@ -268,7 +296,7 @@ func (s *Server) handleReplicaPeers(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, s.svc.ReplicationStatus())
+	WriteJSON(w, http.StatusOK, s.svc.ReplicationStatus())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

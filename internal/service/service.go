@@ -192,14 +192,17 @@ type Job struct {
 	Spec JobSpec // normalised
 	Key  string  // canonical spec hash (cache key)
 
-	// deadline is the absolute per-job deadline derived from the spec's
-	// DeadlineMS at submission (zero = none); probe marks the job as the
-	// circuit breaker's half-open probe; recovered marks a job replayed
-	// from the journal. All three are set before the job is shared and
-	// immutable after.
-	deadline  time.Time
+	// submitted is the submission time, which also anchors the spec's
+	// deadline; probe marks the job as the circuit breaker's half-open
+	// probe; recovered marks a job replayed from the journal. All three
+	// are set before the job is shared and immutable after.
+	submitted time.Time
 	probe     bool
 	recovered bool
+
+	// prev and next link the service's job history in submission order;
+	// guarded by Service.mu.
+	prev, next *Job
 
 	mu         sync.Mutex
 	state      JobState
@@ -208,11 +211,20 @@ type Job struct {
 	errMsg     string
 	attempts   int  // execution attempts consumed (0 for cache hits)
 	degraded   bool // failed with a fault error after exhausting retries
-	submitted  time.Time
 	started    time.Time
 	finished   time.Time
 	cancelFn   context.CancelFunc // set while running
 	cancelWant bool               // cancel requested before the job started
+}
+
+// deadline is the absolute per-job deadline the spec's DeadlineMS sets,
+// measured from submission; zero when the spec sets none. It is derived
+// rather than stored, which keeps Job within its allocation size class.
+func (j *Job) deadline() time.Time {
+	if j.Spec.DeadlineMS <= 0 {
+		return time.Time{}
+	}
+	return j.submitted.Add(time.Duration(j.Spec.DeadlineMS) * time.Millisecond)
 }
 
 // JobView is an immutable snapshot of a job, shaped for JSON.
@@ -271,8 +283,11 @@ type Service struct {
 	mu     sync.Mutex
 	closed bool
 	jobs   map[string]*Job
-	order  []string // submission order, for history eviction and listing
-	nextID uint64
+	// head and tail end the job history, linked through Job.prev and
+	// Job.next in submission order, for eviction and listing. A job is
+	// on the list exactly while it is in jobs.
+	head, tail *Job
+	nextID     uint64
 
 	wg        sync.WaitGroup
 	baseCtx   context.Context
@@ -485,9 +500,6 @@ func (s *Service) replay(recs []journal.Record) []*Job {
 				job.errMsg = fmt.Sprintf("recovery: spec no longer valid: %v", err)
 			} else {
 				job.Spec, job.Key = norm, key
-				if norm.DeadlineMS > 0 {
-					job.deadline = r.At.Add(time.Duration(norm.DeadlineMS) * time.Millisecond)
-				}
 			}
 			if _, dup := byID[r.JobID]; !dup {
 				order = append(order, r.JobID)
@@ -618,31 +630,30 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	now := s.cfg.clock()
 	newJob := func() *Job {
 		s.nextID++
-		job := &Job{
+		return &Job{
 			ID:        fmt.Sprintf("j%06d", s.nextID),
 			Spec:      norm,
 			Key:       key,
 			submitted: now,
 		}
-		if norm.DeadlineMS > 0 {
-			job.deadline = now.Add(time.Duration(norm.DeadlineMS) * time.Millisecond)
-		}
-		return job
 	}
 
-	if res, ok := s.cache.Get(key); ok {
+	if res, cacheKey, ok := s.cache.Get(key); ok {
 		job := newJob()
+		job.Key = cacheKey // the entry's copy, so a retained hit holds no key of its own
 		job.state = StateDone
 		job.cached = true
 		job.result = res
 		job.started = now
 		job.finished = now
-		//lint:allow lockorder acknowledged-before-durable is the bug this guards: the cache-hit ack must not race a crash, so the fsync stays inside the submission critical section by design
-		if err := s.journalAppend(
-			journal.Record{Type: journal.TypeSubmitted, JobID: job.ID, At: now, Spec: mustJSON(norm), Key: key},
-			journal.Record{Type: journal.TypeDone, JobID: job.ID, At: now, Cached: true, Result: mustJSON(res)},
-		); err != nil {
-			return JobView{}, err
+		if s.jnl != nil {
+			//lint:allow lockorder acknowledged-before-durable is the bug this guards: the cache-hit ack must not race a crash, so the fsync stays inside the submission critical section by design
+			if err := s.journalAppend(
+				journal.Record{Type: journal.TypeSubmitted, JobID: job.ID, At: now, Spec: mustJSON(norm), Key: key},
+				journal.Record{Type: journal.TypeDone, JobID: job.ID, At: now, Cached: true, Result: mustJSON(res)},
+			); err != nil {
+				return JobView{}, err
+			}
 		}
 		s.cacheHits.Inc()
 		s.completed.Inc()
@@ -689,14 +700,16 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	// happens before the enqueue so a journaled job is always accepted:
 	// the capacity check above cannot go stale because only workers
 	// drain the queue and every other sender holds s.mu.
-	//lint:allow lockorder commit-before-enqueue under s.mu is the durability ordering documented above; releasing the lock would let the capacity check go stale
-	if err := s.journalAppend(journal.Record{
-		Type: journal.TypeSubmitted, JobID: job.ID, At: now, Spec: mustJSON(norm), Key: key,
-	}); err != nil {
-		if isProbe {
-			s.brk.abandonProbe()
+	if s.jnl != nil {
+		//lint:allow lockorder commit-before-enqueue under s.mu is the durability ordering documented above; releasing the lock would let the capacity check go stale
+		if err := s.journalAppend(journal.Record{
+			Type: journal.TypeSubmitted, JobID: job.ID, At: now, Spec: mustJSON(norm), Key: key,
+		}); err != nil {
+			if isProbe {
+				s.brk.abandonProbe()
+			}
+			return JobView{}, err
 		}
-		return JobView{}, err
 	}
 	//lint:allow lockorder non-blocking by construction: the capacity check above ran under the same s.mu hold and only workers (which never take s.mu first) drain the queue
 	s.queue <- job
@@ -706,6 +719,8 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 
 // mustJSON marshals values that are JSON round-trip safe by construction
 // (normalised specs, results the HTTP layer already serves as JSON).
+// Callers build journal records only when a journal is attached, so a
+// service without one never pays for the encoding.
 func mustJSON(v any) json.RawMessage {
 	buf, err := json.Marshal(v)
 	if err != nil {
@@ -751,26 +766,45 @@ func (s *Service) journalAppend(recs ...journal.Record) error {
 	return nil
 }
 
-// registerLocked records the job and prunes the oldest finished jobs
-// beyond the history bound. Caller holds s.mu.
+// registerLocked appends the job to the history and prunes the oldest
+// finished jobs beyond the history bound. Queued and running jobs are
+// never pruned, so the walk from the head steps over in-flight jobs only
+// and stops at the last job it prunes: O(in flight) per call, not
+// O(MaxJobs). Caller holds s.mu.
 func (s *Service) registerLocked(job *Job) {
 	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
-	if len(s.order) <= s.cfg.MaxJobs {
-		return
+	job.prev = s.tail
+	if s.tail != nil {
+		s.tail.next = job
+	} else {
+		s.head = job
 	}
-	kept := s.order[:0]
-	excess := len(s.order) - s.cfg.MaxJobs
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if excess > 0 && j != nil && j.terminal() {
-			delete(s.jobs, id)
+	s.tail = job
+	excess := len(s.jobs) - s.cfg.MaxJobs
+	for j := s.head; j != nil && excess > 0; {
+		next := j.next
+		if j.terminal() {
+			s.unlinkLocked(j)
+			delete(s.jobs, j.ID)
 			excess--
-			continue
 		}
-		kept = append(kept, id)
+		j = next
 	}
-	s.order = kept
+}
+
+// unlinkLocked takes the job off the history list. Caller holds s.mu.
+func (s *Service) unlinkLocked(j *Job) {
+	if j.prev != nil {
+		j.prev.next = j.next
+	} else {
+		s.head = j.next
+	}
+	if j.next != nil {
+		j.next.prev = j.prev
+	} else {
+		s.tail = j.prev
+	}
+	j.prev, j.next = nil, nil
 }
 
 func (j *Job) terminal() bool {
@@ -793,11 +827,9 @@ func (s *Service) Get(id string) (JobView, error) {
 // Jobs returns snapshots of all retained jobs in submission order.
 func (s *Service) Jobs() []JobView {
 	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		if j, ok := s.jobs[id]; ok {
-			jobs = append(jobs, j)
-		}
+	jobs := make([]*Job, 0, len(s.jobs))
+	for j := s.head; j != nil; j = j.next {
+		jobs = append(jobs, j)
 	}
 	s.mu.Unlock()
 	views := make([]JobView, len(jobs))
@@ -862,12 +894,13 @@ func (s *Service) execute(job *Job) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.JobTimeout)
-	if !job.deadline.IsZero() {
+	deadline := job.deadline()
+	if !deadline.IsZero() {
 		// The spec deadline covers queue wait too, so it is anchored at
 		// submission; nesting under the timeout ctx keeps cancelFn (the
 		// outer cancel) propagating to the whole chain.
 		var cancelDl context.CancelFunc
-		ctx, cancelDl = context.WithDeadline(ctx, job.deadline)
+		ctx, cancelDl = context.WithDeadline(ctx, deadline)
 		defer cancelDl()
 	}
 	job.state = StateRunning
@@ -875,9 +908,11 @@ func (s *Service) execute(job *Job) {
 	job.cancelFn = cancel
 	job.mu.Unlock()
 	defer cancel()
-	_ = s.journalAppend(journal.Record{
-		Type: journal.TypeStarted, JobID: job.ID, At: job.started,
-	})
+	if s.jnl != nil {
+		_ = s.journalAppend(journal.Record{
+			Type: journal.TypeStarted, JobID: job.ID, At: job.started,
+		})
+	}
 
 	type outcome struct {
 		res      *Result
@@ -941,7 +976,7 @@ func (s *Service) execute(job *Job) {
 		s.recent.record(false)
 	case errors.Is(out.err, context.DeadlineExceeded) && !job.cancelWant:
 		job.state = StateFailed
-		if !job.deadline.IsZero() && !now.Before(job.deadline) {
+		if !deadline.IsZero() && !now.Before(deadline) {
 			job.errMsg = fmt.Sprintf("deadline exceeded: deadline_ms=%d elapsed since submission",
 				job.Spec.DeadlineMS)
 		} else {
@@ -968,21 +1003,26 @@ func (s *Service) execute(job *Job) {
 		s.failed.Inc()
 		s.recent.record(true)
 	}
-	rec := journal.Record{JobID: job.ID, At: now, Attempt: out.attempts, Error: job.errMsg}
-	switch job.state {
-	case StateDone:
-		rec.Type = journal.TypeDone
-		rec.Result = mustJSON(job.result)
-	case StateCancelled:
-		rec.Type = journal.TypeCancelled
-	default:
-		rec.Type = journal.TypeFailed
-		rec.Degraded = job.degraded
+	var rec journal.Record
+	if s.jnl != nil {
+		rec = journal.Record{JobID: job.ID, At: now, Attempt: out.attempts, Error: job.errMsg}
+		switch job.state {
+		case StateDone:
+			rec.Type = journal.TypeDone
+			rec.Result = mustJSON(job.result)
+		case StateCancelled:
+			rec.Type = journal.TypeCancelled
+		default:
+			rec.Type = journal.TypeFailed
+			rec.Degraded = job.degraded
+		}
 	}
 	state := job.state
 	isProbe := job.probe
 	job.mu.Unlock()
-	_ = s.journalAppend(rec)
+	if s.jnl != nil {
+		_ = s.journalAppend(rec)
+	}
 	if isProbe {
 		// The half-open probe's outcome decides the breaker: a fresh
 		// success closes it, any failure re-opens it; a cancelled probe
