@@ -21,8 +21,8 @@ import (
 	"clustereval/internal/bench/fpu"
 	"clustereval/internal/bench/osu"
 	"clustereval/internal/bench/stream"
-	"clustereval/internal/core"
 	"clustereval/internal/des"
+	"clustereval/internal/figures"
 	"clustereval/internal/hpcg"
 	"clustereval/internal/hpl"
 	"clustereval/internal/interconnect"
@@ -614,8 +614,8 @@ func BenchmarkFig16_WRF(b *testing.B) {
 
 // BenchmarkTable4_Speedups regenerates the full Table IV.
 func BenchmarkTable4_Speedups(b *testing.B) {
-	ev := core.New()
-	var rows []core.Row
+	ev := figures.Default()
+	var rows []figures.Row
 	for i := 0; i < b.N; i++ {
 		var err error
 		rows, err = ev.TableIV()

@@ -10,10 +10,19 @@
 //	clustereval -csv -table 4 # table as CSV
 //	clustereval -out dir      # every table and figure as CSV files
 //	clustereval -kind hpl -spec '{"nodes":32}'  # one registry experiment
+//	clustereval fpu [-iters N] [-variability]         # Fig. 1 and checksums
+//	clustereval stream [-verify N] [-threads T]       # Figs. 2-3
+//	clustereval net [-size B] [-seed S] [-des]        # Figs. 4-5
+//	clustereval hpl [-verify N] [-nb B] [-threads T]  # Fig. 6
+//	clustereval hpcg [-verify N] [-threads T]         # Fig. 7
+//	clustereval app [-app NAME] [-seed S]             # Figs. 8-16
 //
 // The -kind mode runs any experiment kind registered in
 // internal/experiment — the same registry clusterd serves — and prints
-// the result as JSON.
+// the result as JSON. A subcommand prints one experiment's figures with
+// the details the paper discusses around them; -verify runs the real
+// kernels instead of the model. An unknown subcommand, an unknown flag or
+// a stray argument exits 2.
 package main
 
 import (
@@ -22,4 +31,4 @@ import (
 	"clustereval/internal/experiment/cli"
 )
 
-func main() { cli.Main("clustereval", os.Args[1:]) }
+func main() { os.Exit(cli.Main(os.Args[1:])) }

@@ -167,3 +167,50 @@ func TestExportGoldenCSVs(t *testing.T) {
 		}
 	}
 }
+
+// TestOutputGoldens pins clustereval's whole stdout, its -csv mode and
+// each subcommand's report byte for byte. The goldens were recorded from
+// the six per-kind binaries the subcommands replaced (fpubench,
+// streambench, netbench, hplbench, hpcgbench, appbench), so they also
+// prove the move changed no output. Refresh intentionally with:
+//
+//	go test ./cmd/clustereval -run TestOutputGoldens -update
+func TestOutputGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"clustereval.golden", nil},
+		{"clustereval-csv.golden", []string{"-csv"}},
+		{"fpu.golden", []string{"fpu"}},
+		{"fpu-variability.golden", []string{"fpu", "-variability"}},
+		{"stream.golden", []string{"stream"}},
+		{"net.golden", []string{"net"}},
+		{"net-seed7.golden", []string{"net", "-seed", "7"}},
+		{"hpl.golden", []string{"hpl"}},
+		{"hpcg.golden", []string{"hpcg"}},
+		{"app.golden", []string{"app"}},
+		{"app-alya.golden", []string{"app", "-app", "alya"}},
+	} {
+		out := capture(t, func() error {
+			if code := cli.Main(tc.args); code != 0 {
+				return fmt.Errorf("clustereval %v exited %d", tc.args, code)
+			}
+			return nil
+		})
+		golden := filepath.Join("testdata", tc.golden)
+		if *update {
+			if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != string(want) {
+			t.Errorf("clustereval %v drifted from %s\n--- got ---\n%s--- want ---\n%s",
+				tc.args, golden, out, want)
+		}
+	}
+}

@@ -30,7 +30,9 @@
 //
 // The coordinator's own API adds GET /v1/fleet (topology: shards, PIDs,
 // liveness, rerouted jobs) next to the clusterd surface it proxies.
-// SIGINT/SIGTERM stop the listener and kill the children.
+// SIGINT/SIGTERM stop the listener and drain the children: each shard
+// gets SIGTERM, drains as a standalone clusterd does and ends its journal
+// with the clean-shutdown marker; one still running 35 s later is killed.
 package main
 
 import (
@@ -180,8 +182,8 @@ func run(args []string) error {
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		return fmt.Errorf("http shutdown: %w", err)
 	}
-	// Children are killed by ctx cancellation; wait for the supervisor
-	// loops to report them gone. A permanently-dead shard surfaces here
+	// Children drain on ctx cancellation; wait for the supervisor loops
+	// to report them gone. A permanently-dead shard surfaces here
 	// too, but on the way out it is informational, not fatal.
 	if err := <-supDone; err != nil && !errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr, "clusterfleet: supervisor:", err)

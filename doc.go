@@ -13,7 +13,7 @@
 // defines each job kind (stream, hybrid-stream, fpu, net, hpl, hpcg, app)
 // exactly once — parameter schema, defaults, validation, canonical cache
 // keys and execution — consumed by the figure harness, the clusterd
-// service and the shared CLI driver (internal/experiment/cli) behind every
-// cmd/* binary. See DESIGN.md for the system inventory and EXPERIMENTS.md
-// for the paper-versus-measured record.
+// service and the command-line layer behind clustereval and clusterd
+// (internal/experiment/cli). See DESIGN.md for the system inventory and
+// EXPERIMENTS.md for the paper-versus-measured record.
 package clustereval

@@ -13,7 +13,7 @@ import (
 	"os"
 
 	"clustereval/internal/bench/stream"
-	"clustereval/internal/core"
+	"clustereval/internal/figures"
 	"clustereval/internal/hpl"
 	"clustereval/internal/machine"
 	"clustereval/internal/toolchain"
@@ -57,12 +57,11 @@ func main() {
 		float64(a.Perf)/float64(m.Perf))
 
 	// ...while untuned applications lose 2-4x (Table IV).
-	ev := core.New()
-	rows, err := ev.TableIV()
+	rows, err := figures.Default().TableIV()
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := core.RenderTableIV(rows).Render(os.Stdout); err != nil {
+	if err := figures.RenderTableIV(rows).Render(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

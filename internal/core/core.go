@@ -1,389 +1,34 @@
-// Package core is the evaluation framework tying the reproduction together:
-// it owns the two machine models, regenerates every table of the paper
-// (hardware configuration, build configurations, and the Table IV speedup
-// summary) and exposes figure-level data products for the command-line
-// tools and examples.
+// Package core keeps the old names of the paper's evaluation for the
+// perfbench module, which imports them. Tables I–IV, Table IV's rows and
+// cells, and the Section VI conclusions live on figures.Pair; everything
+// here is an alias of, or a one-line forward to, package figures. New
+// code uses figures directly.
 package core
 
 import (
-	"fmt"
-	"strings"
-
-	"clustereval/internal/apps/alya"
-	"clustereval/internal/apps/gromacs"
-	"clustereval/internal/apps/nemo"
-	"clustereval/internal/apps/openifs"
-	"clustereval/internal/apps/wrf"
-	"clustereval/internal/hpcg"
-	"clustereval/internal/hpl"
-	"clustereval/internal/machine"
+	"clustereval/internal/figures"
 	"clustereval/internal/report"
-	"clustereval/internal/toolchain"
 )
 
-// Evaluation binds the two systems under comparison.
-type Evaluation struct {
-	Arm machine.Machine // CTE-Arm (A64FX)
-	Ref machine.Machine // MareNostrum 4 (Skylake)
-}
+type (
+	// Evaluation is the CTE-Arm / MareNostrum 4 pair.
+	Evaluation = figures.Pair
+	// Row is one Table IV application row.
+	Row = figures.Row
+	// Cell is one Table IV entry.
+	Cell = figures.Cell
+	// Finding is one Section VI conclusion, checked against the models.
+	Finding = figures.Finding
+)
 
 // New returns the paper's evaluation: CTE-Arm vs MareNostrum 4.
 func New() *Evaluation {
-	return &Evaluation{Arm: machine.CTEArm(), Ref: machine.MareNostrum4()}
-}
-
-// TableI renders the hardware configuration table.
-func (e *Evaluation) TableI() *report.Table {
-	t := &report.Table{
-		Title:   "Table I: hardware configuration",
-		Headers: []string{"", e.Arm.Name, e.Ref.Name},
-	}
-	simd := func(m machine.Machine) string {
-		parts := make([]string, len(m.SIMD))
-		for i, s := range m.SIMD {
-			parts[i] = string(s)
-		}
-		return strings.Join(parts, ", ")
-	}
-	rows := []struct {
-		label    string
-		arm, ref string
-	}{
-		{"System integrator", e.Arm.Integrator, e.Ref.Integrator},
-		{"Core architecture", e.Arm.Arch, e.Ref.Arch},
-		{"SIMD extensions", simd(e.Arm), simd(e.Ref)},
-		{"CPU name", e.Arm.CPUName, e.Ref.CPUName},
-		{"Frequency [GHz]", fmt.Sprintf("%.2f", e.Arm.Node.Core.FrequencyHz/1e9),
-			fmt.Sprintf("%.2f", e.Ref.Node.Core.FrequencyHz/1e9)},
-		{"Sockets / node", fmt.Sprint(e.Arm.Node.Sockets), fmt.Sprint(e.Ref.Node.Sockets)},
-		{"Cores / node", fmt.Sprint(e.Arm.Node.Cores()), fmt.Sprint(e.Ref.Node.Cores())},
-		{"DP peak / core [GFlop/s]", fmt.Sprintf("%.2f", e.Arm.Node.Core.DoublePeak().Giga()),
-			fmt.Sprintf("%.2f", e.Ref.Node.Core.DoublePeak().Giga())},
-		{"DP peak / node [GFlop/s]", fmt.Sprintf("%.2f", e.Arm.Node.DoublePeak().Giga()),
-			fmt.Sprintf("%.2f", e.Ref.Node.DoublePeak().Giga())},
-		{"Memory / node [GB]", fmt.Sprintf("%.0f", e.Arm.Node.MemoryBytes/1e9),
-			fmt.Sprintf("%.0f", e.Ref.Node.MemoryBytes/1e9)},
-		{"Memory technology", e.Arm.Node.Domains[0].Technology, e.Ref.Node.Domains[0].Technology},
-		{"Peak memory BW [GB/s]", fmt.Sprintf("%.0f", e.Arm.Node.MemoryPeak().GB()),
-			fmt.Sprintf("%.0f", e.Ref.Node.MemoryPeak().GB())},
-		{"Number of nodes", fmt.Sprint(e.Arm.Nodes), fmt.Sprint(e.Ref.Nodes)},
-		{"Interconnect", string(e.Arm.Network.Kind), string(e.Ref.Network.Kind)},
-		{"Peak network BW [GB/s]", fmt.Sprintf("%.2f", e.Arm.Network.LinkPeak.GB()),
-			fmt.Sprintf("%.2f", e.Ref.Network.LinkPeak.GB())},
-	}
-	for _, r := range rows {
-		t.AddRow(r.label, r.arm, r.ref)
-	}
-	return t
-}
-
-// TableII renders the STREAM build configurations.
-func (e *Evaluation) TableII() *report.Table {
-	t := &report.Table{
-		Title:   "Table II: build configurations for STREAM",
-		Headers: []string{"Build", "Compiler", "Flags"},
-	}
-	add := func(name string, c toolchain.Compiler) {
-		t.AddRow(name, c.String(), strings.Join(c.Flags, " "))
-	}
-	add("CTE-Arm OpenMP", toolchain.StreamOpenMPArm())
-	add("CTE-Arm MPI+OpenMP", toolchain.StreamHybridArm())
-	add("MareNostrum 4 OpenMP", toolchain.StreamMN4())
-	add("MareNostrum 4 MPI+OpenMP", toolchain.StreamMN4())
-	return t
-}
-
-// TableIII renders the application build configurations.
-func (e *Evaluation) TableIII() *report.Table {
-	t := &report.Table{
-		Title:   "Table III: build configurations for all HPC applications",
-		Headers: []string{"Application", "Machine", "Compiler", "MPI", "Dependencies"},
-	}
-	for _, b := range toolchain.AppBuilds() {
-		t.AddRow(b.App, b.Machine, b.Compiler.String(), b.MPIFlavor,
-			strings.Join(b.Dependencies, " "))
-	}
-	return t
-}
-
-// Cell is one Table IV entry.
-type Cell struct {
-	Nodes   int
-	Speedup float64
-	NP, NA  bool
-}
-
-// String renders the cell the way the paper prints it.
-func (c Cell) String() string {
-	switch {
-	case c.NP:
-		return "NP"
-	case c.NA:
-		return "N/A"
-	default:
-		return fmt.Sprintf("%.2f", c.Speedup)
-	}
-}
-
-// Row is one Table IV application row.
-type Row struct {
-	App   string
-	Cells []Cell
-}
-
-// TableIVNodes are the columns of Table IV.
-func TableIVNodes() []int { return []int{1, 16, 32, 64, 128, 192} }
-
-// TableIV computes the speedup summary of the paper's conclusions: the
-// performance of CTE-Arm relative to MareNostrum 4 at equal node counts.
-func (e *Evaluation) TableIV() ([]Row, error) {
-	nodes := TableIVNodes()
-	var rows []Row
-
-	// LINPACK: measured at every column.
-	linpack := Row{App: "LINPACK"}
-	for _, n := range nodes {
-		a, err := hpl.Predict(e.Arm, n)
-		if err != nil {
-			return nil, fmt.Errorf("core: linpack: %w", err)
-		}
-		m, err := hpl.Predict(e.Ref, n)
-		if err != nil {
-			return nil, fmt.Errorf("core: linpack: %w", err)
-		}
-		linpack.Cells = append(linpack.Cells, Cell{Nodes: n, Speedup: float64(a.Perf) / float64(m.Perf)})
-	}
-	rows = append(rows, linpack)
-
-	// HPCG: the paper measured 1 and 192 nodes only.
-	hpcgRow := Row{App: "HPCG"}
-	for _, n := range nodes {
-		if n != 1 && n != 192 {
-			hpcgRow.Cells = append(hpcgRow.Cells, Cell{Nodes: n, NA: true})
-			continue
-		}
-		a, err := hpcg.Predict(e.Arm, hpcg.Optimized, n)
-		if err != nil {
-			return nil, fmt.Errorf("core: hpcg: %w", err)
-		}
-		m, err := hpcg.Predict(e.Ref, hpcg.Optimized, n)
-		if err != nil {
-			return nil, fmt.Errorf("core: hpcg: %w", err)
-		}
-		hpcgRow.Cells = append(hpcgRow.Cells, Cell{Nodes: n, Speedup: float64(a.Perf) / float64(m.Perf)})
-	}
-	rows = append(rows, hpcgRow)
-
-	alyaRow, err := e.alyaRow(nodes)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, alyaRow)
-
-	oifsRow, err := e.openifsRow(nodes)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, oifsRow)
-
-	gmxRow, err := e.gromacsRow(nodes)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, gmxRow)
-
-	wrfRow, err := e.wrfRow(nodes)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, wrfRow)
-
-	nemoRow, err := e.nemoRow(nodes)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, nemoRow)
-
-	return rows, nil
-}
-
-func (e *Evaluation) alyaRow(nodes []int) (Row, error) {
-	ma, err := alya.NewModel(e.Arm, alya.TestCaseB())
-	if err != nil {
-		return Row{}, err
-	}
-	mm, err := alya.NewModel(e.Ref, alya.TestCaseB())
-	if err != nil {
-		return Row{}, err
-	}
-	row := Row{App: "Alya"}
-	for _, n := range nodes {
-		switch {
-		case n < ma.MinNodes() || n < mm.MinNodes():
-			row.Cells = append(row.Cells, Cell{Nodes: n, NP: true})
-		case n > 64: // the paper measured up to 64/78 nodes
-			row.Cells = append(row.Cells, Cell{Nodes: n, NA: true})
-		default:
-			_, _, ta, err := ma.StepTimes(n)
-			if err != nil {
-				return Row{}, err
-			}
-			_, _, tm, err := mm.StepTimes(n)
-			if err != nil {
-				return Row{}, err
-			}
-			row.Cells = append(row.Cells, Cell{Nodes: n, Speedup: float64(tm) / float64(ta)})
-		}
-	}
-	return row, nil
-}
-
-func (e *Evaluation) openifsRow(nodes []int) (Row, error) {
-	singleA, err := openifs.NewModel(e.Arm, openifs.TL255L91())
-	if err != nil {
-		return Row{}, err
-	}
-	singleM, err := openifs.NewModel(e.Ref, openifs.TL255L91())
-	if err != nil {
-		return Row{}, err
-	}
-	multiA, err := openifs.NewModel(e.Arm, openifs.TC0511L91())
-	if err != nil {
-		return Row{}, err
-	}
-	multiM, err := openifs.NewModel(e.Ref, openifs.TC0511L91())
-	if err != nil {
-		return Row{}, err
-	}
-	row := Row{App: "OpenIFS"}
-	cores := e.Arm.Node.Cores()
-	for _, n := range nodes {
-		switch {
-		case n == 1:
-			ta, err := singleA.DayTime(1, cores)
-			if err != nil {
-				return Row{}, err
-			}
-			tm, err := singleM.DayTime(1, cores)
-			if err != nil {
-				return Row{}, err
-			}
-			row.Cells = append(row.Cells, Cell{Nodes: n, Speedup: float64(tm) / float64(ta)})
-		case n < multiA.MinNodes():
-			row.Cells = append(row.Cells, Cell{Nodes: n, NP: true})
-		case n > 128:
-			row.Cells = append(row.Cells, Cell{Nodes: n, NA: true})
-		default:
-			ta, err := multiA.DayTime(n, n*cores)
-			if err != nil {
-				return Row{}, err
-			}
-			tm, err := multiM.DayTime(n, n*cores)
-			if err != nil {
-				return Row{}, err
-			}
-			row.Cells = append(row.Cells, Cell{Nodes: n, Speedup: float64(tm) / float64(ta)})
-		}
-	}
-	return row, nil
-}
-
-func (e *Evaluation) gromacsRow(nodes []int) (Row, error) {
-	ma, err := gromacs.NewModel(e.Arm, gromacs.LignocelluloseRF())
-	if err != nil {
-		return Row{}, err
-	}
-	mm, err := gromacs.NewModel(e.Ref, gromacs.LignocelluloseRF())
-	if err != nil {
-		return Row{}, err
-	}
-	row := Row{App: "Gromacs"}
-	for _, n := range nodes {
-		l := gromacs.Layout{Nodes: n, Ranks: 8 * n, ThreadsPerRank: 6}
-		ta, err := ma.StepTime(l)
-		if err != nil {
-			return Row{}, err
-		}
-		tm, err := mm.StepTime(l)
-		if err != nil {
-			return Row{}, err
-		}
-		row.Cells = append(row.Cells, Cell{Nodes: n, Speedup: float64(tm) / float64(ta)})
-	}
-	return row, nil
-}
-
-func (e *Evaluation) wrfRow(nodes []int) (Row, error) {
-	ma, err := wrf.NewModel(e.Arm, wrf.Iberia4km())
-	if err != nil {
-		return Row{}, err
-	}
-	mm, err := wrf.NewModel(e.Ref, wrf.Iberia4km())
-	if err != nil {
-		return Row{}, err
-	}
-	row := Row{App: "WRF"}
-	for _, n := range nodes {
-		if n > 64 { // the paper measured up to 64 nodes
-			row.Cells = append(row.Cells, Cell{Nodes: n, NA: true})
-			continue
-		}
-		ta, err := ma.ElapsedTime(n, true)
-		if err != nil {
-			return Row{}, err
-		}
-		tm, err := mm.ElapsedTime(n, true)
-		if err != nil {
-			return Row{}, err
-		}
-		row.Cells = append(row.Cells, Cell{Nodes: n, Speedup: float64(tm) / float64(ta)})
-	}
-	return row, nil
-}
-
-func (e *Evaluation) nemoRow(nodes []int) (Row, error) {
-	ma, err := nemo.NewModel(e.Arm, nemo.BenchORCA1())
-	if err != nil {
-		return Row{}, err
-	}
-	mm, err := nemo.NewModel(e.Ref, nemo.BenchORCA1())
-	if err != nil {
-		return Row{}, err
-	}
-	row := Row{App: "NEMO"}
-	for _, n := range nodes {
-		switch {
-		case n < ma.MinNodes():
-			row.Cells = append(row.Cells, Cell{Nodes: n, NP: true})
-		case n != 16: // the paper reports only the 16-node comparison
-			row.Cells = append(row.Cells, Cell{Nodes: n, NA: true})
-		default:
-			ta, err := ma.ExecutionTime(n)
-			if err != nil {
-				return Row{}, err
-			}
-			tm, err := mm.ExecutionTime(n)
-			if err != nil {
-				return Row{}, err
-			}
-			row.Cells = append(row.Cells, Cell{Nodes: n, Speedup: float64(tm) / float64(ta)})
-		}
-	}
-	return row, nil
+	p := figures.Default()
+	return &p
 }
 
 // RenderTableIV formats the rows as the paper's Table IV.
-func RenderTableIV(rows []Row) *report.Table {
-	t := &report.Table{
-		Title:   "Table IV: speedup of CTE-Arm relative to MareNostrum 4",
-		Headers: []string{"Applications", "1", "16", "32", "64", "128", "192"},
-	}
-	for _, r := range rows {
-		cells := []string{r.App}
-		for _, c := range r.Cells {
-			cells = append(cells, c.String())
-		}
-		t.AddRow(cells...)
-	}
-	return t
-}
+func RenderTableIV(rows []Row) *report.Table { return figures.RenderTableIV(rows) }
+
+// TableIVNodes are the columns of Table IV.
+func TableIVNodes() []int { return figures.TableIVNodes() }

@@ -50,9 +50,10 @@ func two(cte, ref scaling.Series, err error) ([]scaling.Series, error) {
 }
 
 // appCatalog is the single source of truth for the applications the "app"
-// kind accepts, in the paper's order: spec validation, cmd/appbench's menu
-// and the per-app figure labels all derive from it. Adding an application
-// here is the only step needed to expose it everywhere.
+// kind accepts, in the paper's order: spec validation, the menu of
+// `clustereval app` and the per-app figure labels all derive from it.
+// Adding an application here is the only step needed to expose it
+// everywhere.
 var appCatalog = []AppInfo{
 	{"alya", "Fig. 8",
 		func(p Pair) ([]scaling.Series, error) { return two(alya.Figure8(p.Arm, p.Ref)) },

@@ -165,15 +165,21 @@ func ListKinds(w io.Writer) error {
 }
 
 func printField(w io.Writer, f experiment.Field) error {
-	usage := f.Usage
-	if len(f.Enum) > 0 {
-		usage += " (" + strings.Join(f.Enum, " | ") + ")"
-	}
+	usage := fieldUsage(f)
 	if f.Default != "" {
 		usage += " [default " + f.Default + "]"
 	}
 	_, err := fmt.Fprintf(w, "    %-12s %-7s %s\n", f.Name, f.Type, usage)
 	return err
+}
+
+// fieldUsage is a schema field's one-line help, with its closed domain
+// when it has one.
+func fieldUsage(f experiment.Field) string {
+	if len(f.Enum) == 0 {
+		return f.Usage
+	}
+	return f.Usage + " (" + strings.Join(f.Enum, " | ") + ")"
 }
 
 // Daemon starts the evaluation service and HTTP server, blocks until ctx

@@ -1,216 +1,148 @@
-// Package cli is the shared driver behind the cmd/* binaries. Each binary
-// is registered here as a Tool: its command-line flags are generated from
-// its experiment kind's registry schema (internal/experiment.Field), plus
-// whatever tool-specific flags the Tool binds itself. A cmd/*/main.go is
-// therefore one call — cli.Main(name, os.Args[1:]) — and adding a flag to
-// a kind's schema updates the daemon's /v1/kinds listing and the matching
-// binary's flag set in the same change.
+// Package cli is the command-line layer behind cmd/clustereval and
+// cmd/clusterd. clustereval prints the paper (Eval), exports it as CSV
+// (ExportAll), runs one registry kind and prints its JSON result
+// (RunKind), or runs one per-kind experiment as a subcommand:
+// `clustereval fpu|stream|net|hpl|hpcg|app [flags]`. Each subcommand
+// declares only the flags its action reads; those backed by the kind's
+// registry schema (internal/experiment.Field) take their name, default
+// and usage from it, so they agree with clusterd's /v1/kinds listing.
+// clusterd's flags, validation and serve loop live in daemon.go.
 package cli
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 
 	"clustereval/internal/experiment"
 )
 
-// Tool describes one command-line binary. Kind names the registry entry
-// whose parameter schema becomes the tool's generated flags (empty means
-// the tool takes no schema flags). Bind registers any tool-specific flags
-// on fs and returns the action to run after parsing; the action receives
-// the Spec rebuilt from the generated flags, unnormalised, so a tool can
-// distinguish "-iters 0" from the schema default.
-type Tool struct {
-	Name string
-	Kind string
-	Bind func(fs *flag.FlagSet) func(spec experiment.Spec) error
-}
-
-// tools indexes the registered binaries by name.
-var tools = map[string]*Tool{}
-
-// registerTool adds a binary to the driver; duplicates are a programming
-// error.
-func registerTool(t *Tool) {
-	if _, dup := tools[t.Name]; dup {
-		panic("cli: tool " + t.Name + " registered twice")
-	}
-	tools[t.Name] = t
-}
-
-// ToolNames returns the registered binary names, sorted.
-func ToolNames() []string {
-	names := make([]string, 0, len(tools))
-	for name := range tools {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// errUsage marks a flag-parse failure whose message the FlagSet already
-// printed; Main exits 2 without repeating it.
+// errUsage marks a command-line error whose message is already printed;
+// Main exits 2 without repeating it.
 var errUsage = errors.New("usage error")
 
-// run drives the named tool over args: the kind's schema flags are
-// generated, parsed alongside the tool's own flags, folded back into a
-// Spec, and handed to the tool's action. It is unexported deliberately:
-// the cli package's Run-prefixed entry points are simulation surfaces
-// under the ctxflow analyzer, and this is a flag-dispatch layer whose
-// public face is Main.
-func run(name string, args []string) error {
-	t, ok := tools[name]
-	if !ok {
-		return fmt.Errorf("unknown tool %q (have %s)", name, strings.Join(ToolNames(), " "))
+// Main runs clustereval over args (os.Args[1:]) and returns its exit
+// status: 0 on success or -h, 2 on a command-line error, 1 when the run
+// fails.
+func Main(args []string) int {
+	switch err := run(args); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
+	default:
+		fmt.Fprintf(os.Stderr, "clustereval: %v\n", err)
+		return 1
 	}
-	fs := flag.NewFlagSet(name, flag.ContinueOnError)
-	var sf *specFlags
-	if t.Kind != "" {
-		sf = addSpecFlags(fs, t.Kind)
+}
+
+// run dispatches args: a leading subcommand name runs that per-kind
+// experiment, anything else is parsed as the paper's own flags. It is
+// unexported deliberately: the cli package's Run-prefixed entry points
+// are simulation surfaces under the ctxflow analyzer, and this is a
+// flag-dispatch layer whose public face is Main.
+func run(args []string) error {
+	if len(args) > 0 {
+		for _, c := range subcommands {
+			if c.name == args[0] {
+				fs := flag.NewFlagSet("clustereval "+c.name, flag.ContinueOnError)
+				action := c.bind(fs)
+				if err := parse(fs, args[1:]); err != nil {
+					return err
+				}
+				return action()
+			}
+		}
 	}
-	action := t.Bind(fs)
+
+	fs := flag.NewFlagSet("clustereval", flag.ContinueOnError)
+	table := fs.Int("table", 0, "render one table (1..4); 0 = all")
+	figure := fs.Int("figure", 0, "render one figure (1..16); 0 = all")
+	csv := fs.Bool("csv", false, "emit tables as CSV")
+	out := fs.String("out", "", "write every table and figure as CSV files into this directory")
+	kind := fs.String("kind", "", "run one experiment kind from the registry and print its result as JSON (see -spec)")
+	spec := fs.String("spec", "", `JSON parameters for -kind, e.g. '{"app":"alya","nodes":32}'`)
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file after the run")
+	fs.Usage = func() {
+		names := make([]string, len(subcommands))
+		for i, c := range subcommands {
+			names[i] = c.name
+		}
+		fmt.Fprintf(fs.Output(), "Usage: clustereval [flags]\n       clustereval %s [flags]\n",
+			strings.Join(names, "|"))
+		fs.PrintDefaults()
+	}
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	return withProfiling(*cpuprofile, *memprofile, func() error {
+		switch {
+		case *kind != "":
+			return RunKind(context.Background(), *kind, *spec, os.Stdout)
+		case *out != "":
+			return ExportAll(*out)
+		default:
+			return Eval(*table, *figure, *csv)
+		}
+	})
+}
+
+// parse parses args into fs and refuses stray positional arguments. When
+// it returns errUsage, the error and fs's usage are already printed.
+func parse(fs *flag.FlagSet, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
-			return flag.ErrHelp
+			return err
 		}
 		return errUsage
 	}
-	var spec experiment.Spec
-	if sf != nil {
-		var err error
-		if spec, err = sf.Spec(); err != nil {
-			return err
-		}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(fs.Output(), "%s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
+		fs.Usage()
+		return errUsage
 	}
-	return action(spec)
+	return nil
 }
 
-// Main is the entry point every cmd/* main wraps: run the tool, map
-// errors onto the conventional exit codes (0 for -h, 2 for flag errors,
-// 1 for execution failures).
-func Main(name string, args []string) {
-	switch err := run(name, args); {
-	case err == nil:
-	case errors.Is(err, flag.ErrHelp):
-		os.Exit(0)
-	case errors.Is(err, errUsage):
-		os.Exit(2)
-	default:
-		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-		os.Exit(1)
-	}
-}
-
-// specFlags binds one kind's registry schema — its own fields plus the
-// shared seed field — onto a FlagSet, and rebuilds a Spec from the parsed
-// values. Flag names and defaults come from the schema, so the binaries
-// cannot drift from what clusterd's /v1/kinds advertises.
-type specFlags struct {
-	kind   string
-	fields []experiment.Field
-	values map[string]any // field name -> *int / *int64 / *uint64 / *string
-}
-
-// addSpecFlags registers the kind's schema flags on fs. An unknown kind
-// or schema type is a programming error in the tool table, not an input
-// error, so it panics.
-func addSpecFlags(fs *flag.FlagSet, kind string) *specFlags {
+// schemaVar declares p, an *int, *int64, *uint64 or *string, on fs as
+// the named field of kind's registry schema, the shared seed field
+// included. The flag's name, default and usage all come from the schema.
+// A field the schema lacks is a programming error and panics.
+func schemaVar(fs *flag.FlagSet, p any, kind, field string) {
 	def, ok := experiment.Lookup(kind)
 	if !ok {
-		panic("cli: tool bound to unregistered kind " + kind)
+		panic("cli: unregistered kind " + kind)
 	}
-	fields := append([]experiment.Field{}, def.Fields...)
-	for _, f := range experiment.SharedFields() {
-		// Of the shared fields only the seed makes sense on a local run:
-		// the machine pair is fixed by the paper and deadlines belong to
-		// the service's queue, not a foreground process.
-		if f.Name == "seed" {
-			fields = append(fields, f)
+	fields := slices.Concat(def.Fields, experiment.SharedFields())
+	i := slices.IndexFunc(fields, func(f experiment.Field) bool { return f.Name == field })
+	if i < 0 {
+		panic("cli: kind " + kind + " has no schema field " + field)
+	}
+	f := fields[i]
+	usage := fieldUsage(f)
+	switch p := p.(type) {
+	case *int:
+		fs.IntVar(p, f.FlagName(), 0, usage)
+	case *int64:
+		fs.Int64Var(p, f.FlagName(), 0, usage)
+	case *uint64:
+		fs.Uint64Var(p, f.FlagName(), 0, usage)
+	case *string:
+		fs.StringVar(p, f.FlagName(), "", usage)
+	default:
+		panic(fmt.Sprintf("cli: schema flag -%s bound to unsupported %T", f.FlagName(), p))
+	}
+	// The flag parses the schema default itself, so -h prints it too.
+	fl := fs.Lookup(f.FlagName())
+	if f.Default != "" {
+		if err := fl.Value.Set(f.Default); err != nil {
+			panic("cli: schema default of " + field + ": " + err.Error())
 		}
 	}
-	sf := &specFlags{kind: kind, fields: fields, values: map[string]any{}}
-	for _, f := range fields {
-		usage := f.Usage
-		if len(f.Enum) > 0 {
-			usage += " (" + strings.Join(f.Enum, " | ") + ")"
-		}
-		switch f.Type {
-		case "int":
-			sf.values[f.Name] = fs.Int(f.FlagName(), atoi(f.Default), usage)
-		case "int64":
-			sf.values[f.Name] = fs.Int64(f.FlagName(), int64(atoi(f.Default)), usage)
-		case "uint64":
-			sf.values[f.Name] = fs.Uint64(f.FlagName(), uint64(atoi(f.Default)), usage)
-		case "string", "json":
-			sf.values[f.Name] = fs.String(f.FlagName(), f.Default, usage)
-		default:
-			panic("cli: field " + f.Name + " has unsupported schema type " + f.Type)
-		}
-	}
-	return sf
-}
-
-// atoi parses a schema default; empty means zero.
-func atoi(s string) int {
-	if s == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		panic("cli: non-numeric schema default " + s)
-	}
-	return n
-}
-
-// Spec folds the parsed flag values back into a job spec, exactly as if
-// the same parameters had been POSTed to clusterd. Zero values are
-// omitted so kind defaults keep applying during normalisation.
-func (sf *specFlags) Spec() (experiment.Spec, error) {
-	m := map[string]any{"kind": sf.kind}
-	for _, f := range sf.fields {
-		switch v := sf.values[f.Name].(type) {
-		case *int:
-			if *v != 0 {
-				m[f.Name] = *v
-			}
-		case *int64:
-			if *v != 0 {
-				m[f.Name] = *v
-			}
-		case *uint64:
-			if *v != 0 {
-				m[f.Name] = *v
-			}
-		case *string:
-			if *v == "" {
-				continue
-			}
-			if f.Type == "json" {
-				if !json.Valid([]byte(*v)) {
-					return experiment.Spec{}, fmt.Errorf("flag -%s: invalid JSON %q", f.FlagName(), *v)
-				}
-				m[f.Name] = json.RawMessage(*v)
-			} else {
-				m[f.Name] = *v
-			}
-		}
-	}
-	buf, err := json.Marshal(m)
-	if err != nil {
-		return experiment.Spec{}, err
-	}
-	var spec experiment.Spec
-	dec := json.NewDecoder(bytes.NewReader(buf))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return experiment.Spec{}, fmt.Errorf("rebuilding spec from flags: %w", err)
-	}
-	return spec, nil
+	fl.DefValue = fl.Value.String()
 }

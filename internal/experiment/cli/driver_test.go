@@ -5,144 +5,126 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"clustereval/internal/experiment"
 )
 
-// minimalArgs returns the smallest flag list that makes the kind's spec
-// valid (only "app" has a required field).
-func minimalArgs(kind string) []string {
-	if kind == experiment.KindApp {
-		return []string{"-app", "alya"}
-	}
-	return nil
-}
-
-// minimalSpec is the wire-side twin of minimalArgs.
-func minimalSpec(kind string) experiment.Spec {
-	spec := experiment.Spec{Kind: kind}
-	if kind == experiment.KindApp {
-		spec.App = "alya"
-	}
-	return spec
-}
-
-// TestSchemaFlagDefaultsRoundTrip pins the driver's core contract: for
-// every registered kind, generating flags from the schema, parsing
-// nothing, and folding the values back into a spec normalises to exactly
-// what a bare spec of that kind normalises to. A schema default that
-// drifts from the kind's FromSpec default would split the CLI's
-// parameters from the daemon's here.
-func TestSchemaFlagDefaultsRoundTrip(t *testing.T) {
-	for _, kind := range experiment.Kinds() {
-		t.Run(kind, func(t *testing.T) {
-			fs := flag.NewFlagSet(kind, flag.ContinueOnError)
-			sf := addSpecFlags(fs, kind)
-			if err := fs.Parse(minimalArgs(kind)); err != nil {
-				t.Fatal(err)
-			}
-			spec, err := sf.Spec()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := spec.Normalize()
-			if err != nil {
-				t.Fatalf("flag-built spec does not normalise: %v", err)
-			}
-			want, err := minimalSpec(kind).Normalize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("flag defaults drifted from registry defaults:\n flags %+v\n bare  %+v", got, want)
-			}
-		})
-	}
-}
-
-// TestSchemaFlagOverridesRoundTrip drives non-default values through the
-// generated flags and checks they land in the typed params unchanged.
-func TestSchemaFlagOverridesRoundTrip(t *testing.T) {
-	fs := flag.NewFlagSet("netbench", flag.ContinueOnError)
-	sf := addSpecFlags(fs, experiment.KindNet)
-	if err := fs.Parse([]string{"-size", "4096", "-iters", "7", "-src_node", "3", "-dst_node", "9", "-seed", "11"}); err != nil {
-		t.Fatal(err)
-	}
-	spec, err := sf.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	norm, err := spec.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := experiment.Spec{
-		Kind: experiment.KindNet, Machine: "cte-arm",
-		SizeBytes: 4096, Iters: 7, SrcNode: 3, DstNode: 9, Seed: 11,
-	}
-	if !reflect.DeepEqual(norm, want) {
-		t.Errorf("parsed spec = %+v, want %+v", norm, want)
-	}
-}
-
-// TestSchemaFlagFaultsJSON checks the "json"-typed faults field: valid
-// JSON flows into the spec, invalid JSON is refused with the flag named.
-func TestSchemaFlagFaultsJSON(t *testing.T) {
-	fs := flag.NewFlagSet("netbench", flag.ContinueOnError)
-	sf := addSpecFlags(fs, experiment.KindNet)
-	if err := fs.Parse([]string{"-faults", `{"nodes":[{"node":3,"failed":true}]}`}); err != nil {
-		t.Fatal(err)
-	}
-	spec, err := sf.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Faults == nil || len(spec.Faults.Nodes) != 1 {
-		t.Errorf("faults flag not decoded: %+v", spec.Faults)
-	}
-
-	fs = flag.NewFlagSet("netbench", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	sf = addSpecFlags(fs, experiment.KindNet)
-	if err := fs.Parse([]string{"-faults", `{not json`}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sf.Spec(); err == nil || !strings.Contains(err.Error(), "-faults") {
-		t.Errorf("invalid faults JSON error = %v, want one naming -faults", err)
-	}
-}
-
-// TestEveryToolParses proves each registered binary's flag set builds
-// without collisions between schema-generated and tool-specific flags:
-// -h must reach flag.ErrHelp, which means every flag registered cleanly.
+// TestEveryToolParses proves clustereval and each subcommand build their
+// flag sets cleanly (-h reaches flag.ErrHelp), and pins every subcommand
+// to exactly the flags its action reads.
 func TestEveryToolParses(t *testing.T) {
-	// clusterd is the eighth binary; it parses through ParseDaemonFlags
-	// and is covered by the daemon tests.
-	want := []string{"appbench", "clustereval", "fpubench", "hpcgbench", "hplbench", "netbench", "streambench"}
-	names := ToolNames()
-	if !reflect.DeepEqual(names, want) {
-		t.Fatalf("registered tools = %v, want %v", names, want)
+	want := map[string][]string{ // flag.VisitAll order: sorted
+		"fpu":    {"iters", "variability"},
+		"stream": {"threads", "verify"},
+		"net":    {"des", "seed", "size"},
+		"hpl":    {"nb", "threads", "verify"},
+		"hpcg":   {"threads", "verify"},
+		"app":    {"app", "seed"},
 	}
-	for _, name := range names {
-		if err := run(name, []string{"-h"}); !errors.Is(err, flag.ErrHelp) {
-			t.Errorf("Run(%s, -h) = %v, want flag.ErrHelp", name, err)
+	var names []string
+	for _, c := range subcommands {
+		names = append(names, c.name)
+		fs := flag.NewFlagSet(c.name, flag.ContinueOnError)
+		c.bind(fs)
+		var got []string
+		fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+		if !reflect.DeepEqual(got, want[c.name]) {
+			t.Errorf("%s declares flags %v, want %v", c.name, got, want[c.name])
+		}
+		if err := run([]string{c.name, "-h"}); !errors.Is(err, flag.ErrHelp) {
+			t.Errorf("run(%s -h) = %v, want flag.ErrHelp", c.name, err)
+		}
+	}
+	if order := []string{"fpu", "stream", "net", "hpl", "hpcg", "app"}; !reflect.DeepEqual(names, order) {
+		t.Errorf("subcommands = %v, want %v", names, order)
+	}
+	if err := run([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("run(-h) = %v, want flag.ErrHelp", err)
+	}
+}
+
+// TestSchemaFlagsFollowRegistry pins the subcommands' schema-backed flags
+// to the registry: each takes its name, usage and default from the kind's
+// experiment.Field, and that default is the value clusterd normalises a
+// bare spec to, so a subcommand without flags runs the daemon's defaults.
+func TestSchemaFlagsFollowRegistry(t *testing.T) {
+	cases := []struct {
+		sub, field string
+		normalised func(experiment.Spec) any // nil: the daemon requires the field
+	}{
+		{"fpu", "iters", func(s experiment.Spec) any { return s.Iters }},
+		{"net", "size_bytes", func(s experiment.Spec) any { return s.SizeBytes }},
+		{"net", "seed", func(s experiment.Spec) any { return s.Seed }},
+		{"app", "app", nil},
+		{"app", "seed", func(s experiment.Spec) any { return s.Seed }},
+	}
+	for _, tc := range cases {
+		def, _ := experiment.Lookup(tc.sub)
+		fields := slices.Concat(def.Fields, experiment.SharedFields())
+		f := fields[slices.IndexFunc(fields, func(f experiment.Field) bool { return f.Name == tc.field })]
+		c := subcommands[slices.IndexFunc(subcommands, func(c subcommand) bool { return c.name == tc.sub })]
+		fs := flag.NewFlagSet(tc.sub, flag.ContinueOnError)
+		c.bind(fs)
+		fl := fs.Lookup(f.FlagName())
+		if fl == nil {
+			t.Errorf("%s: no -%s flag for schema field %s", tc.sub, f.FlagName(), tc.field)
+			continue
+		}
+		if !strings.HasPrefix(fl.Usage, f.Usage) {
+			t.Errorf("%s -%s usage %q, schema says %q", tc.sub, fl.Name, fl.Usage, f.Usage)
+		}
+		if fl.DefValue != f.Default {
+			t.Errorf("%s -%s default %q, schema says %q", tc.sub, fl.Name, fl.DefValue, f.Default)
+		}
+		if tc.normalised == nil {
+			continue
+		}
+		spec := experiment.Spec{Kind: tc.sub}
+		if tc.sub == experiment.KindApp {
+			spec.App = "alya"
+		}
+		norm, err := spec.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(tc.normalised(norm)); got != fl.DefValue {
+			t.Errorf("%s -%s default %s, but clusterd normalises a bare spec to %s", tc.sub, fl.Name, fl.DefValue, got)
 		}
 	}
 }
 
-// TestRunUnknownToolAndBadFlag pins the driver's error classification.
+// TestRunUnknownToolAndBadFlag pins the exit codes: an unknown
+// subcommand, an unknown flag or a stray argument is a usage error (2)
+// whose message names the valid subcommands or the bad flag, -h is not
+// an error (0), and a run that fails exits 1.
 func TestRunUnknownToolAndBadFlag(t *testing.T) {
-	if err := run("nosuchtool", nil); err == nil || !strings.Contains(err.Error(), "nosuchtool") {
-		t.Errorf("unknown tool error = %v", err)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"bogus"}, "fpu|stream|net|hpl|hpcg|app"},
+		{[]string{"-table", "4", "extra"}, `unexpected argument "extra"`},
+		{[]string{"hpl", "-nodes", "64"}, "-nodes"},
+		{[]string{"net", "extra"}, `unexpected argument "extra"`},
+		{[]string{"-definitely-not-a-flag"}, "-definitely-not-a-flag"},
+	} {
+		var code int
+		msg := captureStderr(t, func() { code = Main(tc.args) })
+		if code != 2 || !strings.Contains(msg, tc.want) {
+			t.Errorf("clustereval %v: exit %d, stderr %q; want exit 2 naming %q", tc.args, code, msg, tc.want)
+		}
 	}
-	// Silence the FlagSet's own report; the driver must classify it as a
-	// usage error either way.
-	if err := run("fpubench", []string{"-definitely-not-a-flag"}); !errors.Is(err, errUsage) {
-		t.Errorf("bad flag error = %v, want errUsage", err)
+	if code := Main([]string{"net", "-h"}); code != 0 {
+		t.Errorf("clustereval net -h: exit %d, want 0", code)
+	}
+	if code := Main([]string{"fpu", "-iters", "0"}); code != 1 {
+		t.Errorf("clustereval fpu -iters 0: exit %d, want 1", code)
 	}
 }
 

@@ -24,42 +24,53 @@ import (
 	"clustereval/internal/units"
 )
 
-func init() {
-	registerTool(&Tool{Name: "streambench", Kind: experiment.KindStream,
-		Bind: func(fs *flag.FlagSet) func(experiment.Spec) error {
-			verify := fs.Int("verify", 0, "run the real kernels over N elements and validate")
-			threads := fs.Int("threads", 8, "threads for -verify")
-			return func(experiment.Spec) error { return StreamBench(*verify, *threads) }
-		}})
-	registerTool(&Tool{Name: "fpubench", Kind: experiment.KindFPU,
-		Bind: func(fs *flag.FlagSet) func(experiment.Spec) error {
-			variability := fs.Bool("variability", false, "also run the within-node and across-node variability sweeps")
-			return func(spec experiment.Spec) error { return FPUBench(spec.Iters, *variability) }
-		}})
-	registerTool(&Tool{Name: "netbench", Kind: experiment.KindNet,
-		Bind: func(fs *flag.FlagSet) func(experiment.Spec) error {
-			des := fs.Bool("des", false, "also measure one pair through the DES-backed MPI runtime")
-			return func(spec experiment.Spec) error {
-				return NetBench(units.Bytes(spec.SizeBytes), *des, spec.Seed)
-			}
-		}})
-	registerTool(&Tool{Name: "hplbench", Kind: experiment.KindHPL,
-		Bind: func(fs *flag.FlagSet) func(experiment.Spec) error {
-			verify := fs.Int("verify", 0, "factorize a real NxN system and check the HPL residual")
-			nb := fs.Int("nb", 64, "block size for -verify")
-			threads := fs.Int("threads", 8, "worker threads for -verify")
-			return func(experiment.Spec) error { return HPLBench(*verify, *nb, *threads) }
-		}})
-	registerTool(&Tool{Name: "hpcgbench", Kind: experiment.KindHPCG,
-		Bind: func(fs *flag.FlagSet) func(experiment.Spec) error {
-			verify := fs.Int("verify", 0, "solve a real NxNxN HPCG system and report convergence")
-			threads := fs.Int("threads", 8, "worker threads for -verify")
-			return func(experiment.Spec) error { return HPCGBench(*verify, *threads) }
-		}})
-	registerTool(&Tool{Name: "appbench", Kind: experiment.KindApp,
-		Bind: func(fs *flag.FlagSet) func(experiment.Spec) error {
-			return func(spec experiment.Spec) error { return AppBench(spec.App, spec.Seed) }
-		}})
+// subcommand is one `clustereval <name>` mode. bind declares the flags
+// its action reads on fs and returns the action.
+type subcommand struct {
+	name string
+	bind func(fs *flag.FlagSet) func() error
+}
+
+// subcommands are clustereval's per-kind experiments, in paper order,
+// each named after its registry kind.
+var subcommands = []subcommand{
+	{experiment.KindFPU, func(fs *flag.FlagSet) func() error {
+		var iters int
+		schemaVar(fs, &iters, experiment.KindFPU, "iters")
+		variability := fs.Bool("variability", false, "also run the within-node and across-node variability sweeps")
+		return func() error { return FPUBench(iters, *variability) }
+	}},
+	{experiment.KindStream, func(fs *flag.FlagSet) func() error {
+		verify := fs.Int("verify", 0, "run the real kernels over N elements and validate")
+		threads := fs.Int("threads", 8, "threads for -verify")
+		return func() error { return StreamBench(*verify, *threads) }
+	}},
+	{experiment.KindNet, func(fs *flag.FlagSet) func() error {
+		var size int64
+		var seed uint64
+		schemaVar(fs, &size, experiment.KindNet, "size_bytes")
+		schemaVar(fs, &seed, experiment.KindNet, "seed")
+		des := fs.Bool("des", false, "also measure one pair through the DES-backed MPI runtime")
+		return func() error { return NetBench(units.Bytes(size), *des, seed) }
+	}},
+	{experiment.KindHPL, func(fs *flag.FlagSet) func() error {
+		verify := fs.Int("verify", 0, "factorize a real NxN system and check the HPL residual")
+		nb := fs.Int("nb", 64, "block size for -verify")
+		threads := fs.Int("threads", 8, "worker threads for -verify")
+		return func() error { return HPLBench(*verify, *nb, *threads) }
+	}},
+	{experiment.KindHPCG, func(fs *flag.FlagSet) func() error {
+		verify := fs.Int("verify", 0, "solve a real NxNxN HPCG system and report convergence")
+		threads := fs.Int("threads", 8, "worker threads for -verify")
+		return func() error { return HPCGBench(*verify, *threads) }
+	}},
+	{experiment.KindApp, func(fs *flag.FlagSet) func() error {
+		var app string
+		var seed uint64
+		schemaVar(fs, &app, experiment.KindApp, "app")
+		schemaVar(fs, &seed, experiment.KindApp, "seed")
+		return func() error { return AppBench(app, seed) }
+	}},
 }
 
 // StreamBench runs the STREAM experiments (paper Section III-B): the
@@ -301,7 +312,7 @@ func HPCGBench(verify, threads int) error {
 	}
 
 	p := figures.Default()
-	t, runs, err := p.Figure7()
+	t, _, err := p.Figure7()
 	if err != nil {
 		return err
 	}
@@ -320,7 +331,6 @@ func HPCGBench(verify, threads int) error {
 	for _, k := range envKeys {
 		fmt.Printf("  %s=%s\n", k, params.EnvVars[k])
 	}
-	_ = runs
 	return nil
 }
 
@@ -331,18 +341,12 @@ func HPCGBench(verify, threads int) error {
 // same source the "app" job kind validates against.
 func AppBench(app string, seed uint64) error {
 	p := figures.WithSeed(seed)
-	type figFn struct {
-		name string
-		fn   func() (*report.Plot, error)
-	}
-	apps := map[string][]figFn{
-		"alya": {
-			{"Fig. 8", p.Figure8}, {"Fig. 9", p.Figure9}, {"Fig. 10", p.Figure10},
-		},
-		"nemo":    {{"Fig. 11", p.Figure11}},
-		"gromacs": {{"Fig. 12", p.Figure12}, {"Fig. 13", p.Figure13}},
-		"openifs": {{"Fig. 14", p.Figure14}, {"Fig. 15", p.Figure15}},
-		"wrf":     {{"Fig. 16", p.Figure16}},
+	apps := map[string][]func() (*report.Plot, error){
+		"alya":    {p.Figure8, p.Figure9, p.Figure10},
+		"nemo":    {p.Figure11},
+		"gromacs": {p.Figure12, p.Figure13},
+		"openifs": {p.Figure14, p.Figure15},
+		"wrf":     {p.Figure16},
 	}
 	order := experiment.AppNames()
 
@@ -354,8 +358,8 @@ func AppBench(app string, seed uint64) error {
 		selected = []string{app}
 	}
 	for _, name := range selected {
-		for _, f := range apps[name] {
-			plot, err := f.fn()
+		for _, figure := range apps[name] {
+			plot, err := figure()
 			if err != nil {
 				return err
 			}
@@ -373,29 +377,21 @@ func AppBench(app string, seed uint64) error {
 	return nil
 }
 
-// alyaHighlights prints the equivalence points the paper calls out.
+// alyaHighlights prints the equivalence points the paper calls out: how
+// many CTE-Arm nodes match 12 MareNostrum 4 nodes, per Alya phase.
 func alyaHighlights(p figures.Pair) error {
-	arm, mn4 := p.Arm, p.Ref
-	cte, ref, err := alya.Figure8(arm, mn4)
-	if err != nil {
-		return err
+	for _, phase := range []struct {
+		name   string
+		figure func(arm, ref machine.Machine) (scaling.Series, scaling.Series, error)
+	}{{"time step", alya.Figure8}, {"Assembly", alya.Figure9}, {"Solver", alya.Figure10}} {
+		cte, ref, err := phase.figure(p.Arm, p.Ref)
+		if err != nil {
+			return err
+		}
+		target, _ := ref.TimeAt(12)
+		fmt.Printf("Alya: %d CTE-Arm nodes match 12 MareNostrum 4 nodes (%s)\n",
+			scaling.MatchingNodes(cte, target), phase.name)
 	}
-	target, _ := ref.TimeAt(12)
-	fmt.Printf("Alya: %d CTE-Arm nodes match 12 MareNostrum 4 nodes (time step)\n",
-		scaling.MatchingNodes(cte, target))
-	cteA, refA, err := alya.Figure9(arm, mn4)
-	if err != nil {
-		return err
-	}
-	targetA, _ := refA.TimeAt(12)
-	fmt.Printf("Alya: %d CTE-Arm nodes match 12 MareNostrum 4 nodes (Assembly)\n",
-		scaling.MatchingNodes(cteA, targetA))
-	cteS, refS, err := alya.Figure10(arm, mn4)
-	if err != nil {
-		return err
-	}
-	targetS, _ := refS.TimeAt(12)
-	fmt.Printf("Alya: %d CTE-Arm nodes match 12 MareNostrum 4 nodes (Solver)\n\n",
-		scaling.MatchingNodes(cteS, targetS))
+	fmt.Println()
 	return nil
 }

@@ -1,4 +1,4 @@
-package core
+package figures
 
 import (
 	"fmt"
@@ -19,8 +19,8 @@ type Finding struct {
 
 // Conclusions re-derives the paper's concluding claims from the models and
 // reports whether each holds in the reproduction.
-func (e *Evaluation) Conclusions() ([]Finding, error) {
-	rows, err := e.TableIV()
+func (p Pair) Conclusions() ([]Finding, error) {
+	rows, err := p.TableIV()
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +75,7 @@ func (e *Evaluation) Conclusions() ([]Finding, error) {
 
 	// 3. "The compiler could not leverage the SVE unit ... performance is
 	//    delivered by the scalar core."
-	build, err := toolchain.Compile(toolchain.GNUArmSVE(), e.Arm, "Alya")
+	build, err := toolchain.Compile(toolchain.GNUArmSVE(), p.Arm, "Alya")
 	if err != nil {
 		return nil, err
 	}
@@ -87,11 +87,11 @@ func (e *Evaluation) Conclusions() ([]Finding, error) {
 
 	// 4. "The weaker scalar core is somewhat compensated by the fast
 	//    memory subsystem (e.g. the Solver phase of Alya)."
-	ma, err := alya.NewModel(e.Arm, alya.TestCaseB())
+	ma, err := alya.NewModel(p.Arm, alya.TestCaseB())
 	if err != nil {
 		return nil, err
 	}
-	mm, err := alya.NewModel(e.Ref, alya.TestCaseB())
+	mm, err := alya.NewModel(p.Ref, alya.TestCaseB())
 	if err != nil {
 		return nil, err
 	}
@@ -154,11 +154,11 @@ func (e *Evaluation) Conclusions() ([]Finding, error) {
 
 	// 7. The micro-architecture itself is not the bottleneck: hand-tuned
 	//    code reaches the higher A64FX peak (Fig. 1).
-	execArm, err := perfmodel.NewExec(e.Arm, toolchain.GNUArmSVE(), "HPL")
+	execArm, err := perfmodel.NewExec(p.Arm, toolchain.GNUArmSVE(), "HPL")
 	if err != nil {
 		return nil, err
 	}
-	execRef, err := perfmodel.NewExec(e.Ref, toolchain.IntelMN4(), "HPL")
+	execRef, err := perfmodel.NewExec(p.Ref, toolchain.IntelMN4(), "HPL")
 	if err != nil {
 		return nil, err
 	}

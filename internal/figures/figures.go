@@ -1,11 +1,14 @@
-// Package figures regenerates every figure of the paper as a renderable
-// report object. The per-kind experiment wiring — machine pair, Table II
-// builds, application catalog — lives in the internal/experiment registry;
-// this package drives those same registry entry points and adds only the
-// presentation (plots, tables, heatmaps). The command-line tools and
-// examples are thin wrappers over this package; the benchmark harness
-// (bench_test.go) drives the same entry points so that `go test -bench`
-// reproduces the full evaluation.
+// Package figures regenerates the paper's evaluation for one machine
+// pair: Tables I–IV, Figs. 1–16 and the Section VI conclusions, each as a
+// renderable report object, plus an energy table beyond the paper.
+// Artefacts lists them in paper order, and clustereval prints and exports
+// them by walking that list. The per-kind experiment wiring — machine
+// pair, Table II builds, application catalog — lives in the
+// internal/experiment registry; this package drives those same registry
+// entry points and adds only the presentation (plots, tables, heatmaps).
+// clustereval and the examples are thin wrappers over this package; the
+// benchmark harness (bench_test.go) drives the same entry points so that
+// `go test -bench` reproduces the full evaluation.
 package figures
 
 import (

@@ -1,4 +1,4 @@
-package core
+package figures
 
 import (
 	"bytes"
@@ -8,7 +8,7 @@ import (
 )
 
 func TestTableIRendering(t *testing.T) {
-	e := New()
+	e := Default()
 	tb := e.TableI()
 	var buf bytes.Buffer
 	if err := tb.Render(&buf); err != nil {
@@ -27,7 +27,7 @@ func TestTableIRendering(t *testing.T) {
 }
 
 func TestTableIIAndIII(t *testing.T) {
-	e := New()
+	e := Default()
 	var buf bytes.Buffer
 	if err := e.TableII().Render(&buf); err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestTableIIAndIII(t *testing.T) {
 }
 
 func TestTableIVAgainstPaper(t *testing.T) {
-	e := New()
+	e := Default()
 	rows, err := e.TableIV()
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestTableIVAgainstPaper(t *testing.T) {
 }
 
 func TestRenderTableIV(t *testing.T) {
-	e := New()
+	e := Default()
 	rows, err := e.TableIV()
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestRenderTableIV(t *testing.T) {
 }
 
 func TestConclusionsAllHold(t *testing.T) {
-	e := New()
+	e := Default()
 	findings, err := e.Conclusions()
 	if err != nil {
 		t.Fatal(err)

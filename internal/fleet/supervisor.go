@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"clustereval/internal/xrand"
@@ -91,10 +92,11 @@ func (s *Supervisor) PID(shard string) int {
 	return s.pids[shard]
 }
 
-// Run supervises every declared shard until ctx is cancelled; children
-// are SIGKILLed on the way out (callers drain via the shards' own
-// -drain-timeout by cancelling and waiting). It returns the first
-// spawn-setup error, or ctx.Err().
+// Run supervises every declared shard until ctx is cancelled. Cancelling
+// drains the children: each gets SIGTERM, finishes within its own
+// -drain-timeout and leaves a clean-shutdown marker in its journal, and
+// one still running childDrainWait later is SIGKILLed. Run returns once
+// every child is gone, with the first spawn-setup error or ctx.Err().
 func (s *Supervisor) Run(ctx context.Context) error {
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(s.coord.allShards()))
@@ -204,9 +206,15 @@ func (s *Supervisor) superviseShard(ctx context.Context, shard Shard) error {
 	}
 }
 
+// childDrainWait is how long a child may drain after the SIGTERM a
+// cancelled supervisor sends it before it is SIGKILLed: just above
+// clusterd's default -drain-timeout of 30 s, so a draining shard writes
+// its clean-shutdown marker and only a hung one is killed.
+const childDrainWait = 35 * time.Second
+
 // runChildOnce spawns one clusterd child for the shard, waits for its
 // banner to learn the listen address, publishes it to the coordinator
-// and blocks until the child exits (or ctx cancels, which kills it).
+// and blocks until the child exits (or ctx cancels, which drains it).
 func (s *Supervisor) runChildOnce(ctx context.Context, shard Shard) error {
 	args := append([]string{}, s.cfg.BaseArgs...)
 	args = append(args, "-addr", "127.0.0.1:0", "-shard", shard.Name)
@@ -217,7 +225,8 @@ func (s *Supervisor) runChildOnce(ctx context.Context, shard Shard) error {
 		args = append(args, "-replica-dir", shard.DataDir)
 	}
 	cmd := exec.CommandContext(ctx, s.cfg.Bin, args...)
-	cmd.Cancel = func() error { return cmd.Process.Kill() }
+	cmd.Cancel = func() error { return cmd.Process.Signal(syscall.SIGTERM) }
+	cmd.WaitDelay = childDrainWait
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return fmt.Errorf("stdout pipe: %w", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net/http/httptest"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"clustereval/internal/journal"
 )
 
 // buildClusterd compiles the real daemon binary for supervisor tests.
@@ -212,5 +215,57 @@ func TestSupervisorRestartsKilledShard(t *testing.T) {
 	case <-supDone:
 	case <-time.After(10 * time.Second):
 		t.Fatal("supervisor did not exit after cancel")
+	}
+}
+
+// Cancelling Run is the fleet's graceful stop: each durable child must
+// drain as a standalone clusterd does on SIGTERM and end its journal
+// with the clean-shutdown marker, so recovery re-runs nothing.
+func TestSupervisorCancelDrainsShards(t *testing.T) {
+	bin := buildClusterd(t)
+	path := filepath.Join(t.TempDir(), "s0.wal")
+	coord, err := NewCoordinator(CoordinatorConfig{VirtualNodes: 8}, []Shard{{Name: "s0", JournalPath: path}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup := NewSupervisor(SupervisorConfig{
+		Bin:      bin,
+		BaseArgs: []string{"-workers", "1"},
+		Stdout:   io.Discard,
+		Stderr:   io.Discard,
+	}, coord)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	supDone := make(chan error, 1)
+	go func() { supDone <- sup.Run(ctx) }()
+	waitLive(t, coord, "s0", true)
+
+	front := httptest.NewServer(coord)
+	defer front.Close()
+	v, resp := postJob(t, front.URL, netSpec(0))
+	if resp.StatusCode != 200 && resp.StatusCode != 202 {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	if got := waitDone(t, front.URL, v.ID); got.State != "done" {
+		t.Fatalf("job ended %q", got.State)
+	}
+
+	cancel()
+	select {
+	case <-supDone:
+	case <-time.After(20 * time.Second):
+		t.Fatal("supervisor did not exit after cancel")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, _, err := journal.Decode(data)
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("journal: %d record(s), %v", len(recs), err)
+	}
+	if last := recs[len(recs)-1]; last.Type != journal.TypeShutdown {
+		t.Fatalf("journal ends in %q, want the %q marker of a drained shard", last.Type, journal.TypeShutdown)
 	}
 }

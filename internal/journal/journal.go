@@ -21,6 +21,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 )
@@ -128,20 +129,24 @@ func encode(r Record) ([]byte, error) {
 	return frameLine(body), nil
 }
 
-// decodeLine parses one framed line (without its newline).
-func decodeLine(line []byte) (Record, error) {
+// decodeLine parses one framed line (without its newline) into a journal
+// record or a replication frame, and validates it.
+func decodeLine[T interface {
+	Record | Frame
+	validate() error
+}](line []byte) (T, error) {
+	var v T
 	body, err := unframeLine(line)
 	if err != nil {
-		return Record{}, err
+		return v, err
 	}
-	var r Record
-	if err := json.Unmarshal(body, &r); err != nil {
-		return Record{}, fmt.Errorf("journal: undecodable record body: %w", err)
+	if err := json.Unmarshal(body, &v); err != nil {
+		return v, fmt.Errorf("journal: undecodable %T: %w", v, err)
 	}
-	if err := r.validate(); err != nil {
-		return Record{}, err
+	if err := v.validate(); err != nil {
+		return v, err
 	}
-	return r, nil
+	return v, nil
 }
 
 // Decode parses a journal image and returns the records of its longest
@@ -152,35 +157,44 @@ func decodeLine(line []byte) (Record, error) {
 // and yields ErrCorrupt: the prefix before the damage is still returned,
 // but the journal must not be silently reused.
 func Decode(data []byte) (recs []Record, goodLen int, torn bool, err error) {
+	return scan(data, decodeLine[Record])
+}
+
+// scan parses an image of framed lines, each decoded by decode, with
+// Decode's damage rules: the values of the longest valid prefix and its
+// byte length, torn=true for a damaged or unterminated tail, ErrCorrupt
+// for damage with an intact line after it.
+func scan[T any](data []byte, decode func([]byte) (T, error)) (vals []T, goodLen int, torn bool, err error) {
 	off := 0
 	for off < len(data) {
 		nl := bytes.IndexByte(data[off:], '\n')
 		if nl < 0 {
 			// Unterminated tail: the newline is written (and fsynced) with
-			// its record, so an unterminated record was never acknowledged.
-			return recs, off, true, nil
+			// its line, so an unterminated line was never acknowledged.
+			return vals, off, true, nil
 		}
-		rec, derr := decodeLine(data[off : off+nl])
+		v, derr := decode(data[off : off+nl])
 		if derr != nil {
-			if intactRecordAfter(data[off+nl+1:]) {
-				return recs, off, false, fmt.Errorf("%w at byte %d: %w", ErrCorrupt, off, derr)
+			if intactLineAfter(data[off+nl+1:], decode) {
+				return vals, off, false, fmt.Errorf("%w at byte %d: %w", ErrCorrupt, off, derr)
 			}
-			return recs, off, true, nil
+			return vals, off, true, nil
 		}
-		recs = append(recs, rec)
+		vals = append(vals, v)
 		off += nl + 1
 	}
-	return recs, off, false, nil
+	return vals, off, false, nil
 }
 
-// intactRecordAfter reports whether any complete, valid record follows.
-func intactRecordAfter(data []byte) bool {
+// intactLineAfter reports whether any complete line decode accepts
+// follows.
+func intactLineAfter[T any](data []byte, decode func([]byte) (T, error)) bool {
 	for len(data) > 0 {
 		nl := bytes.IndexByte(data, '\n')
 		if nl < 0 {
 			return false
 		}
-		if _, err := decodeLine(data[:nl]); err == nil {
+		if _, err := decode(data[:nl]); err == nil {
 			return true
 		}
 		data = data[nl+1:]
@@ -192,6 +206,22 @@ func intactRecordAfter(data []byte) bool {
 // so tests can inject a failing sync and exercise the fail-stop path
 // without needing a broken disk.
 var fsync = func(f *os.File) error { return f.Sync() }
+
+// syncDir fsyncs the directory holding path, through the fsync hook, so
+// a file just created or renamed there keeps its directory entry through
+// a power loss.
+func syncDir(path string) error {
+	dir := filepath.Dir(path)
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("journal: opening directory %s: %w", dir, err)
+	}
+	defer d.Close()
+	if err := fsync(d); err != nil {
+		return fmt.Errorf("journal: fsync directory %s: %w", dir, err)
+	}
+	return nil
+}
 
 // ErrPoisoned wraps the first write or fsync failure of a journal (or a
 // replica store file). Once poisoned, every subsequent append returns
@@ -213,10 +243,10 @@ type Journal struct {
 	poisoned error // sticky first write/fsync failure
 }
 
-// Open opens (creating if absent) the journal at path and replays its
-// records. A torn final record is truncated away; mid-file corruption is
-// refused with ErrCorrupt. The returned journal is positioned for
-// appending.
+// Open opens (creating if absent) the journal at path, fsyncs its
+// directory, and replays its records. A torn final record is truncated
+// away; mid-file corruption is refused with ErrCorrupt. The returned
+// journal is positioned for appending.
 func Open(path string) (*Journal, []Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -229,6 +259,12 @@ func Open(path string) (*Journal, []Record, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: opening %s: %w", path, err)
+	}
+	// The file may be new, or left by an Open that failed here: either
+	// way its directory entry must be durable before a record is acked.
+	if err := syncDir(path); err != nil {
+		f.Close()
+		return nil, nil, err
 	}
 	if torn || good < len(data) {
 		if err := f.Truncate(int64(good)); err != nil {

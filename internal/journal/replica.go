@@ -22,7 +22,6 @@
 package journal
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -78,60 +77,13 @@ func EncodeFrames(frames []Frame) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeFrameLine parses one framed line (without its newline).
-func decodeFrameLine(line []byte) (Frame, error) {
-	body, err := unframeLine(line)
-	if err != nil {
-		return Frame{}, err
-	}
-	var f Frame
-	if err := json.Unmarshal(body, &f); err != nil {
-		return Frame{}, fmt.Errorf("journal: undecodable replication frame: %w", err)
-	}
-	if err := f.validate(); err != nil {
-		return Frame{}, err
-	}
-	return f, nil
-}
-
 // DecodeFrames parses a replication stream image with the same damage
 // tolerance as Decode: the frames of the longest valid prefix are
 // returned with the prefix's byte length; a damaged or unterminated
 // tail is reported via torn=true (the crash signature — truncate and
 // keep going) while damage before intact frames yields ErrCorrupt.
 func DecodeFrames(data []byte) (frames []Frame, goodLen int, torn bool, err error) {
-	off := 0
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			return frames, off, true, nil
-		}
-		f, derr := decodeFrameLine(data[off : off+nl])
-		if derr != nil {
-			if intactFrameAfter(data[off+nl+1:]) {
-				return frames, off, false, fmt.Errorf("%w at byte %d: %w", ErrCorrupt, off, derr)
-			}
-			return frames, off, true, nil
-		}
-		frames = append(frames, f)
-		off += nl + 1
-	}
-	return frames, off, false, nil
-}
-
-// intactFrameAfter reports whether any complete, valid frame follows.
-func intactFrameAfter(data []byte) bool {
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			return false
-		}
-		if _, err := decodeFrameLine(data[:nl]); err == nil {
-			return true
-		}
-		data = data[nl+1:]
-	}
-	return false
+	return scan(data, decodeLine[Frame])
 }
 
 // ErrGap reports an ingest batch whose first new frame does not extend
@@ -198,9 +150,9 @@ func OpenReplicaStore(dir string) (*ReplicaStore, error) {
 	return s, nil
 }
 
-// open opens (creating if absent) the replica file for src. Caller need
-// not hold s.mu for OpenReplicaStore's sequential scan; Ingest calls it
-// under the lock.
+// open opens (creating if absent) the replica file for src and fsyncs
+// its directory. Caller need not hold s.mu for OpenReplicaStore's
+// sequential scan; Ingest calls it under the lock.
 func (s *ReplicaStore) open(src string) (*replicaFile, error) {
 	if rf, ok := s.files[src]; ok {
 		return rf, nil
@@ -227,6 +179,10 @@ func (s *ReplicaStore) open(src string) (*replicaFile, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: opening replica %s: %w", path, err)
+	}
+	if err := syncDir(path); err != nil { // see Open
+		f.Close()
+		return nil, err
 	}
 	if torn || good < len(data) {
 		if err := f.Truncate(int64(good)); err != nil {
@@ -268,6 +224,7 @@ func (s *ReplicaStore) Ingest(frames []Frame) (lastSeq uint64, err error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	//lint:allow lockorder open fsyncs the directory only when it first opens a source's replica, once per source per process, and that entry must be durable before this batch is acked
 	rf, err := s.open(src)
 	if err != nil {
 		return 0, err
@@ -388,8 +345,9 @@ func ReadReplica(path string) (recs []Record, lastSeq uint64, err error) {
 
 // WriteJournal writes records as a plain journal image at path,
 // atomically: the image lands in a temp file, is fsynced, and renamed
-// into place, so a crash mid-promotion leaves either no journal or a
-// complete one — never a half-written history presented as whole.
+// into place, and the directory is fsynced, so a crash mid-promotion
+// leaves either no journal or a complete one — never a half-written
+// history presented as whole.
 func WriteJournal(path string, recs []Record) error {
 	var buf []byte
 	for _, r := range recs {
@@ -418,7 +376,7 @@ func WriteJournal(path string, recs []Record) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("journal: installing %s: %w", path, err)
 	}
-	return nil
+	return syncDir(path)
 }
 
 // PromoteReplica rewrites the replica at replicaPath into a plain

@@ -233,6 +233,49 @@ func TestDeadlineAbortsJob(t *testing.T) {
 	}
 }
 
+// TestDeadlineOnInjectedClock: deadline_ms is anchored at submission on
+// the service's clock and must also be enforced on it. With the clock
+// fixed at a date long past, a runtime-clock deadline would expire at
+// once; the budget left on the service clock must run instead, and the
+// failure message must name the timer that fired.
+func TestDeadlineOnInjectedClock(t *testing.T) {
+	fixed := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	clock := func() time.Time { return fixed }
+	blocking := func(ctx context.Context, _ JobSpec) (*Result, error) {
+		<-ctx.Done() // runs until aborted
+		return nil, ctx.Err()
+	}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		spec    JobSpec
+		state   JobState
+		errPart string
+	}{
+		{"budget left runs to completion", Config{},
+			JobSpec{Kind: "net", Machine: "mn4", DeadlineMS: 60000}, StateDone, ""},
+		{"deadline_ms fires", Config{JobTimeout: time.Minute, runner: blocking},
+			JobSpec{Kind: "fpu", DeadlineMS: 50}, StateFailed, "deadline exceeded: deadline_ms=50 "},
+		{"job timeout fires", Config{JobTimeout: 20 * time.Millisecond, runner: blocking},
+			JobSpec{Kind: "fpu", DeadlineMS: 60000}, StateFailed, "job timed out after 20ms"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Workers, cfg.CacheSize, cfg.clock = 1, -1, clock
+			s := New(cfg)
+			defer closeNow(t, s)
+			v, err := s.Submit(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := waitTerminal(t, s, v.ID)
+			if final.State != tc.state || !strings.Contains(final.Error, tc.errPart) {
+				t.Errorf("job ended %s (%q), want %s with %q", final.State, final.Error, tc.state, tc.errPart)
+			}
+		})
+	}
+}
+
 // TestDeadlineDoesNotSplitCache: deadline_ms is stripped from the cache
 // key, so a deadlined resubmission of a completed spec is a pure hit.
 func TestDeadlineDoesNotSplitCache(t *testing.T) {

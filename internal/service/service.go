@@ -884,6 +884,11 @@ func (s *Service) worker() {
 	}
 }
 
+// errDeadlineMS is the cause a spec's deadline_ms timer cancels its job
+// with, so a failed job's message names the timer that fired rather than
+// reading the clock again.
+var errDeadlineMS = errors.New("service: spec deadline_ms")
+
 // execute runs one job with a per-job timeout (and, when the spec set
 // deadline_ms, a per-job deadline measured from submission), records its
 // outcome, journals the transitions and populates the cache.
@@ -893,18 +898,18 @@ func (s *Service) execute(job *Job) {
 		job.mu.Unlock()
 		return
 	}
+	job.started = s.cfg.clock()
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.JobTimeout)
-	deadline := job.deadline()
-	if !deadline.IsZero() {
+	if deadline := job.deadline(); !deadline.IsZero() {
 		// The spec deadline covers queue wait too, so it is anchored at
-		// submission; nesting under the timeout ctx keeps cancelFn (the
+		// submission on the service clock, and what is left of it runs as
+		// a timeout. Nesting under the timeout ctx keeps cancelFn (the
 		// outer cancel) propagating to the whole chain.
 		var cancelDl context.CancelFunc
-		ctx, cancelDl = context.WithDeadline(ctx, deadline)
+		ctx, cancelDl = context.WithTimeoutCause(ctx, deadline.Sub(job.started), errDeadlineMS)
 		defer cancelDl()
 	}
 	job.state = StateRunning
-	job.started = s.cfg.clock()
 	job.cancelFn = cancel
 	job.mu.Unlock()
 	defer cancel()
@@ -976,7 +981,7 @@ func (s *Service) execute(job *Job) {
 		s.recent.record(false)
 	case errors.Is(out.err, context.DeadlineExceeded) && !job.cancelWant:
 		job.state = StateFailed
-		if !deadline.IsZero() && !now.Before(deadline) {
+		if errors.Is(context.Cause(ctx), errDeadlineMS) {
 			job.errMsg = fmt.Sprintf("deadline exceeded: deadline_ms=%d elapsed since submission",
 				job.Spec.DeadlineMS)
 		} else {
