@@ -107,9 +107,11 @@ benchdiff-engine:
 # pricing against the straight-line referenceMessageTime, the µKernel's
 # fixed-point exit against the full-length referenceExecute, Fig. 5's
 # histogram percentiles against the expanded sample and referenceSpreadAt,
-# the service's job-history list against the old map-plus-slice eviction
-# scan, and the whole des test suite pinned to the reference queue via the
-# build tag.
+# the GOMAXPROCS-sharded Fig. 4/5 sweeps against the serial
+# referenceFigure4/referenceFigure5, the service's job-history list against
+# the old map-plus-slice eviction scan, and the whole des test suite pinned
+# to the reference queue via the build tag. The placement oracle also
+# covers the fat-tree shapes where per-leaf seed pricing has edge cases.
 difftest:
 	$(GO) test -run 'Differential|Oracle|Fuzz|CondSignal|WorkerReuse' -v ./internal/des/... ./internal/experiment/ ./internal/sched/ ./internal/interconnect/ ./internal/simdvec/ ./internal/stats/ ./internal/bench/osu/ ./internal/service/
 	$(GO) test -tags desrefqueue ./internal/des/...

@@ -19,7 +19,6 @@ import (
 	"clustereval/internal/apps/scaling"
 	"clustereval/internal/apps/wrf"
 	"clustereval/internal/bench/fpu"
-	"clustereval/internal/bench/osu"
 	"clustereval/internal/bench/stream"
 	"clustereval/internal/des"
 	"clustereval/internal/figures"
@@ -133,43 +132,6 @@ func BenchmarkFig3_StreamHybrid(b *testing.B) {
 	}
 	b.ReportMetric(f.Best.Bandwidth.GB(), "Fortran-GB/s") // paper: 862.6
 	b.ReportMetric(c.Best.Bandwidth.GB(), "C-GB/s")       // paper: 421.1
-}
-
-// BenchmarkFig4_PairBandwidth sweeps all 192x191 ordered node pairs at
-// 256 B and locates the degraded receiver.
-func BenchmarkFig4_PairBandwidth(b *testing.B) {
-	arm, _ := pairMachines()
-	fab, err := interconnect.NewTofuD(arm, arm.Nodes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var h *osu.Heatmap
-	for i := 0; i < b.N; i++ {
-		h, err = osu.Figure4(fab, 256, osu.DefaultIterations)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	degraded := h.DegradedReceivers(0.5)
-	b.ReportMetric(float64(len(degraded)), "degraded-nodes") // paper: 1 (arms0b1-11c)
-}
-
-// BenchmarkFig5_BandwidthDistribution bins the bandwidth of all pairs over
-// message sizes 2^0..2^24.
-func BenchmarkFig5_BandwidthDistribution(b *testing.B) {
-	arm, _ := pairMachines()
-	fab, err := interconnect.NewTofuD(arm, arm.Nodes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var d *osu.Distribution
-	for i := 0; i < b.N; i++ {
-		d, err = osu.Figure5(fab, 0, 24, 90, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(d.BimodalSizes(0.12))), "bimodal-sizes")
 }
 
 // BenchmarkFig6_Linpack runs the HPL scalability sweep on both machines.

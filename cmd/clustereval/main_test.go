@@ -10,7 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"clustereval/internal/bench/fpu"
 	"clustereval/internal/experiment/cli"
+	"clustereval/internal/machine"
+	"clustereval/internal/simdvec"
 )
 
 // -update regenerates the golden files from current output.
@@ -212,5 +215,56 @@ func TestOutputGoldens(t *testing.T) {
 			t.Errorf("clustereval %v drifted from %s\n--- got ---\n%s--- want ---\n%s",
 				tc.args, golden, out, want)
 		}
+	}
+}
+
+// TestFPUItersReachTable requires `clustereval fpu -iters 10` to tabulate
+// the sustained rate of 10 iterations, where pipeline fill counts
+// (simdvec.Kernel.Run), and not the rate of the paper's 20,000: the table
+// comes from the same run as the checksums.
+func TestFPUItersReachTable(t *testing.T) {
+	const iters = 10
+	out := capture(t, func() error {
+		if code := cli.Main([]string{"fpu", "-iters", fmt.Sprint(iters)}); code != 0 {
+			return fmt.Errorf("clustereval fpu -iters %d exited %d", iters, code)
+		}
+		return nil
+	})
+	lines := strings.Split(out, "\n")
+	fillShows := false
+	for _, m := range []machine.Machine{machine.CTEArm(), machine.MareNostrum4()} {
+		for _, v := range simdvec.Variants() {
+			k, err := simdvec.NewKernel(m.Node.Core, v)
+			if err != nil {
+				continue // unsupported: the row reads "unsupported"
+			}
+			short, err := k.Run(iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			long, err := k.Run(fpu.DefaultIterations)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := short.Sustained.String()
+			fillShows = fillShows || want != long.Sustained.String()
+			found := false
+			for _, line := range lines {
+				if rest, ok := strings.CutPrefix(line, v.Name()+" "); ok {
+					if rest, ok = strings.CutPrefix(strings.TrimSpace(rest), m.Name+" "); ok {
+						found = true
+						if !strings.HasPrefix(strings.TrimSpace(rest), want+" ") {
+							t.Errorf("%s on %s: row %q, want sustained %s", v.Name(), m.Name, line, want)
+						}
+					}
+				}
+			}
+			if !found {
+				t.Errorf("%s on %s: no row in\n%s", v.Name(), m.Name, out)
+			}
+		}
+	}
+	if !fillShows {
+		t.Fatal("no variant's sustained rate at 10 iterations differs from 20,000's: the test cannot tell them apart")
 	}
 }

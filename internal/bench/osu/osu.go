@@ -6,14 +6,19 @@
 // real two-rank program through the simulated MPI runtime (every message
 // schedules through the DES), while the Heatmap/Distribution generators
 // price messages directly with the fabric cost model so that the full
-// 192x191-pair sweeps of Figs. 4 and 5 stay fast.
+// 192x191-pair sweeps of Figs. 4 and 5 stay fast. Those sweeps split their
+// senders over GOMAXPROCS goroutines; see sweepSenders for why the result
+// is bit for bit the serial one.
 package osu
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
 
 	"clustereval/internal/interconnect"
 	"clustereval/internal/mpisim"
@@ -122,6 +127,30 @@ type Heatmap struct {
 	BW [][]units.BytesPerSecond
 }
 
+// sweepSenders splits the senders 0..n-1 into at most GOMAXPROCS
+// contiguous shards, sweeps each in a goroutine of its own and returns the
+// shards' results in sender order.
+//
+// A sharded sweep is exact, not merely close: SustainedBandwidth is a pure
+// function of a fabric nobody writes to (each trial's stream is
+// Mix64(key ^ trial); DegradedRecv and the fault model are only read), so
+// a pair's bandwidth does not depend on which goroutine prices it or when.
+// Fig. 4 keeps each shard's rows in sender order, and Fig. 5 adds up
+// integer bin counts, whose sum does not depend on the order.
+func sweepSenders[T any](n int, sweep func(lo, hi int) T) []T {
+	out := make([]T, max(1, min(runtime.GOMAXPROCS(0), n)))
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = sweep(i*n/len(out), (i+1)*n/len(out))
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
 // Figure4 sweeps all ordered node pairs of the fabric at the given message
 // size (the paper uses 256 B as "representative of medium message sizes").
 func Figure4(f *interconnect.Fabric, size units.Bytes, iters int) (*Heatmap, error) {
@@ -129,17 +158,20 @@ func Figure4(f *interconnect.Fabric, size units.Bytes, iters int) (*Heatmap, err
 		return nil, fmt.Errorf("osu: iterations must be positive")
 	}
 	n := f.Topo.Nodes()
-	h := &Heatmap{Size: size, Iters: iters, BW: make([][]units.BytesPerSecond, n)}
-	for s := 0; s < n; s++ {
-		h.BW[s] = make([]units.BytesPerSecond, n)
-		for r := 0; r < n; r++ {
-			if s == r {
-				continue
+	shards := sweepSenders(n, func(lo, hi int) [][]units.BytesPerSecond {
+		rows := make([][]units.BytesPerSecond, 0, hi-lo)
+		for s := lo; s < hi; s++ {
+			row := make([]units.BytesPerSecond, n)
+			for r := range row {
+				if s != r {
+					row[r] = f.SustainedBandwidth(s, r, size, iters)
+				}
 			}
-			h.BW[s][r] = f.SustainedBandwidth(s, r, size, iters)
+			rows = append(rows, row)
 		}
-	}
-	return h, nil
+		return rows
+	})
+	return &Heatmap{Size: size, Iters: iters, BW: slices.Concat(shards...)}, nil
 }
 
 // Nodes returns the node count of the heatmap.
@@ -229,21 +261,34 @@ func Figure5(f *interconnect.Fabric, minExp, maxExp, bins, iters int) (*Distribu
 		return nil, fmt.Errorf("osu: iterations must be positive")
 	}
 	d := &Distribution{LogLo: -4, LogHi: 1.2}
-	n := f.Topo.Nodes()
 	for exp := minExp; exp <= maxExp; exp++ {
-		size := units.Bytes(math.Pow(2, float64(exp)))
-		h := stats.NewHistogram(d.LogLo, d.LogHi, bins)
-		for s := 0; s < n; s++ {
-			for r := 0; r < n; r++ {
-				if s == r {
-					continue
+		d.Sizes = append(d.Sizes, units.Bytes(math.Pow(2, float64(exp))))
+	}
+	// Each shard bins its own senders into histograms of its own. Once all
+	// have finished, the first shard's histograms take the others' counts.
+	n := f.Topo.Nodes()
+	shards := sweepSenders(n, func(lo, hi int) []*stats.Histogram {
+		hists := make([]*stats.Histogram, len(d.Sizes))
+		for i, size := range d.Sizes {
+			h := stats.NewHistogram(d.LogLo, d.LogHi, bins)
+			for s := lo; s < hi; s++ {
+				for r := 0; r < n; r++ {
+					if s != r {
+						h.Add(math.Log10(f.SustainedBandwidth(s, r, size, iters).GB()))
+					}
 				}
-				bw := f.SustainedBandwidth(s, r, size, iters)
-				h.Add(math.Log10(bw.GB()))
+			}
+			hists[i] = h
+		}
+		return hists
+	})
+	d.Hist = shards[0]
+	for _, hists := range shards[1:] {
+		for i, h := range hists {
+			for b, c := range h.Counts {
+				d.Hist[i].Counts[b] += c
 			}
 		}
-		d.Sizes = append(d.Sizes, size)
-		d.Hist = append(d.Hist, h)
 	}
 	return d, nil
 }

@@ -3,7 +3,10 @@ package osu
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"clustereval/internal/interconnect"
@@ -219,6 +222,123 @@ func TestSpreadAtDifferential(t *testing.T) {
 	}
 }
 
+// referenceFigure4 is Figure4 as one serial loop over every ordered pair.
+// It is the oracle of TestFigureSweepsDifferential: keep it simple, do not
+// optimise or shard it.
+func referenceFigure4(f *interconnect.Fabric, size units.Bytes, iters int) [][]units.BytesPerSecond {
+	n := f.Topo.Nodes()
+	bw := make([][]units.BytesPerSecond, n)
+	for s := 0; s < n; s++ {
+		bw[s] = make([]units.BytesPerSecond, n)
+		for r := 0; r < n; r++ {
+			if s == r {
+				continue
+			}
+			bw[s][r] = f.SustainedBandwidth(s, r, size, iters)
+		}
+	}
+	return bw
+}
+
+// referenceFigure5 is Figure5 as one serial loop: every size, every
+// ordered pair, binned into one histogram per size. It is the oracle of
+// TestFigureSweepsDifferential: keep it simple, do not optimise or shard
+// it.
+func referenceFigure5(f *interconnect.Fabric, minExp, maxExp, bins, iters int) []*stats.Histogram {
+	n := f.Topo.Nodes()
+	var hists []*stats.Histogram
+	for exp := minExp; exp <= maxExp; exp++ {
+		size := units.Bytes(math.Pow(2, float64(exp)))
+		h := stats.NewHistogram(-4, 1.2, bins)
+		for s := 0; s < n; s++ {
+			for r := 0; r < n; r++ {
+				if s == r {
+					continue
+				}
+				bw := f.SustainedBandwidth(s, r, size, iters)
+				h.Add(math.Log10(bw.GB()))
+			}
+		}
+		hists = append(hists, h)
+	}
+	return hists
+}
+
+// TestFigureSweepsDifferential requires the sharded Figure4 and Figure5 to
+// reproduce the serial references exactly: every Fig. 4 cell in
+// math.Float64bits and every Fig. 5 bin count. It covers the CTE-Arm TofuD
+// (192 nodes, degraded receiver 23), ThunderX2's 40-node Infiniband fat
+// tree and a 12-node TofuD, at three noise seeds, each at GOMAXPROCS 1, 2,
+// 3, 5 and 16; 16 is more than the 12-node fabric has senders.
+// Fig. 4 runs at the paper's 256 B and 16 trials. Fig. 5 runs at 2 trials
+// over 256 B..4 MiB, which crosses every protocol and noise boundary of
+// both fabrics.
+func TestFigureSweepsDifferential(t *testing.T) {
+	fabrics := []struct {
+		name  string
+		build func(machine.Machine, int) (*interconnect.Fabric, error)
+		m     machine.Machine
+		nodes int
+	}{
+		{"cte-arm", interconnect.NewTofuD, machine.CTEArm(), 192},
+		{"thunderx2", interconnect.NewInfiniband, machine.ThunderX2(), 40},
+		{"tofud-12", interconnect.NewTofuD, machine.CTEArm(), 12},
+	}
+	const minExp, maxExp, bins, iters5 = 8, 22, 90, 2
+	for _, fc := range fabrics {
+		for seed := range uint64(3) {
+			m := fc.m
+			if seed != 0 { // seed 0 keeps the fabric's built-in noise seed
+				m.Network.Seed = seed
+			}
+			f, err := fc.build(m, fc.nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want4 := referenceFigure4(f, 256, DefaultIterations)
+			want5 := referenceFigure5(f, minExp, maxExp, bins, iters5)
+			for _, procs := range []int{1, 2, 3, 5, 16} {
+				name := fmt.Sprintf("%s/seed%d/procs%d", fc.name, seed, procs)
+				h, d := sweepAt(t, procs, f, minExp, maxExp, bins, iters5)
+				if len(h.BW) != len(want4) {
+					t.Fatalf("%s: Fig. 4 has %d rows, reference %d", name, len(h.BW), len(want4))
+				}
+				for s, row := range want4 {
+					for r, bw := range row {
+						if math.Float64bits(float64(h.BW[s][r])) != math.Float64bits(float64(bw)) {
+							t.Fatalf("%s: Fig. 4 cell (%d, %d) = %v, reference %v", name, s, r, h.BW[s][r], bw)
+						}
+					}
+				}
+				if len(d.Hist) != len(want5) {
+					t.Fatalf("%s: Fig. 5 has %d sizes, reference %d", name, len(d.Hist), len(want5))
+				}
+				for i, h := range want5 {
+					if !slices.Equal(d.Hist[i].Counts, h.Counts) {
+						t.Fatalf("%s: Fig. 5 counts at %v differ\n got %v\nwant %v", name, d.Sizes[i], d.Hist[i].Counts, h.Counts)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sweepAt runs Figure4 (256 B, the paper's trials) and Figure5 with
+// GOMAXPROCS set to procs, and restores GOMAXPROCS before returning.
+func sweepAt(t *testing.T, procs int, f *interconnect.Fabric, minExp, maxExp, bins, iters int) (*Heatmap, *Distribution) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	h, err := Figure4(f, 256, DefaultIterations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Figure5(f, minExp, maxExp, bins, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, d
+}
+
 func TestFigure5Errors(t *testing.T) {
 	f := tofu(t, 12)
 	if _, err := Figure5(f, 10, 5, 10, 4); err == nil {
@@ -305,4 +425,38 @@ func TestMeasurePairContextCancelled(t *testing.T) {
 	if _, err := MeasurePair(f, 0, 1, 256, 8); err != nil {
 		t.Errorf("MeasurePair: %v", err)
 	}
+}
+
+// BenchmarkFigure4 sweeps all 192x191 ordered node pairs of CTE-Arm at
+// 256 B, as Fig. 4 draws them, and locates the degraded receiver.
+func BenchmarkFigure4(b *testing.B) {
+	f, err := interconnect.NewTofuD(machine.CTEArm(), 192)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var h *Heatmap
+	for range b.N {
+		if h, err = Figure4(f, 256, DefaultIterations); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(h.DegradedReceivers(0.5))), "degraded-nodes") // paper: 1 (arms0b1-11c)
+}
+
+// BenchmarkFigure5 bins the bandwidth of all CTE-Arm pairs over message
+// sizes 2^0..2^24, as Fig. 5 draws them.
+func BenchmarkFigure5(b *testing.B) {
+	f, err := interconnect.NewTofuD(machine.CTEArm(), 192)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var d *Distribution
+	for range b.N {
+		if d, err = Figure5(f, 0, 24, 90, 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(d.BimodalSizes(0.12))), "bimodal-sizes")
 }

@@ -125,12 +125,7 @@ func FPUBench(iters int, variability bool) error {
 	if err != nil {
 		return err
 	}
-	p := figures.Default()
-	t, err := p.Figure1()
-	if err != nil {
-		return err
-	}
-	if err := t.Render(os.Stdout); err != nil {
+	if err := figures.Figure1Table(bars).Render(os.Stdout); err != nil {
 		return err
 	}
 	// Checksums prove real arithmetic ran.

@@ -60,6 +60,12 @@ func (p Pair) Figure1() (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	return Figure1Table(bars), nil
+}
+
+// Figure1Table tabulates µKernel bars, as fpu.Figure1 returns them, in
+// Fig. 1's layout.
+func Figure1Table(bars []fpu.Bar) *report.Table {
 	t := &report.Table{
 		Title:   "Fig. 1: FPU µKernel sustained performance (one core)",
 		Headers: []string{"Variant", "Machine", "Sustained", "Peak", "% of peak"},
@@ -72,7 +78,7 @@ func (p Pair) Figure1() (*report.Table, error) {
 		t.AddRow(b.Variant.Name(), b.Machine,
 			b.Sustained.String(), b.Peak.String(), fmt.Sprintf("%.1f", b.PercentOfPeak))
 	}
-	return t, nil
+	return t
 }
 
 // Figure2 sweeps STREAM Triad over OpenMP thread counts.

@@ -120,7 +120,8 @@ func (s *Scheduler) allocateRandom(n int) []int {
 //
 // Hop distances are small integers, so a seed's price is read off a
 // histogram of its distances to every free node, with no sort; only the
-// winning seed's selection is built.
+// winning seed's selection is built. On a fat tree the histogram comes
+// from per-leaf free counts (leafCost) instead of a scan of every free node.
 func (s *Scheduler) allocateTopology(n int) []int {
 	free := make([]int, 0, s.FreeNodes())
 	for i, b := range s.busy {
@@ -134,15 +135,40 @@ func (s *Scheduler) allocateTopology(n int) []int {
 	}
 	hops := make([]int, len(free))
 	counts := make([]int, s.topo.Diameter()+1)
+	price := func(seed int) int {
+		s.distances(seed, free, hops, counts)
+		cost, _, _ := nearest(counts, n)
+		return cost
+	}
+	if ft, ok := s.topo.(*topology.FatTree); ok {
+		price = leafCost(ft, free, n)
+	}
 	best, bestCost := -1, 0
 	for si := 0; si < len(free); si += seedStride {
-		s.distances(free[si], free, hops, counts)
-		if cost, _, _ := nearest(counts, n); best < 0 || cost < bestCost {
+		if cost := price(free[si]); best < 0 || cost < bestCost {
 			best, bestCost = free[si], cost
 		}
 	}
 	s.distances(best, free, hops, counts)
 	return nearestFrom(free, hops, counts, n)
+}
+
+// leafCost prices seeds on a fat tree, where the distance between two
+// nodes depends only on whether they share a leaf (FatTree.Hops): 0 to
+// itself, 2 within its leaf and 4 across. So a seed's distance histogram
+// is {0: 1, 2: free nodes in its leaf - 1, 4: free nodes elsewhere}.
+// leafCost counts the free nodes per leaf once, in O(free), and the
+// function it returns prices a seed in O(1) from that histogram.
+func leafCost(ft *topology.FatTree, free []int, n int) func(seed int) int {
+	leafFree := make([]int, ft.Leaf(ft.Nodes()-1)+1)
+	for _, f := range free {
+		leafFree[ft.Leaf(f)]++
+	}
+	return func(seed int) int {
+		inLeaf := leafFree[ft.Leaf(seed)]
+		cost, _, _ := nearest([]int{1, 0, inLeaf - 1, 0, len(free) - inLeaf}, n)
+		return cost
+	}
 }
 
 // distances sets hops[i] to the hop distance from seed to free[i] and

@@ -258,16 +258,30 @@ func referenceTopology(topo topology.Topology, busy []bool, n int) []int {
 // must pick the same nodes for a single node, mid-sized jobs and every
 // free node. The fat tree's two distances make ties the common case, so
 // the (hops, node index) tie-break and first-seed-wins rule are exercised.
+// Besides MareNostrum 4's fat tree, the fat trees cover the edge cases of
+// per-leaf pricing: 40 nodes at leaf 24, whose last leaf is partial;
+// ThunderX2's 40 nodes at leaf 20; one leaf of 20 nodes (diameter 2); a
+// single node (diameter 0); and leaf size 1, where no two nodes share a
+// leaf. On fat trees every sampled seed's price is checked too.
 func TestPlacementDifferential(t *testing.T) {
-	fatTree, err := topology.NewFatTree(3456, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
 	torus, err := topology.NewTofuD(6144)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, topo := range []topology.Topology{tofu(t), fatTree, torus} {
+	type shape struct {
+		name string
+		topo topology.Topology
+	}
+	shapes := []shape{{"TofuD-192", tofu(t)}, {"TofuD-6144", torus}}
+	for _, nl := range [][2]int{{3456, 24}, {40, 24}, {40, 20}, {20, 20}, {1, 24}, {100, 1}} {
+		fatTree, err := topology.NewFatTree(nl[0], nl[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes = append(shapes, shape{fmt.Sprintf("fat-tree-%d/leaf%d", nl[0], nl[1]), fatTree})
+	}
+	for _, sh := range shapes {
+		topo := sh.topo
 		for mask, busyFrac := range []float64{0, 0.4, 0.95} {
 			r := xrand.New(xrand.MixN(0x5c4ed, uint64(topo.Nodes()), uint64(mask)))
 			busy := make([]bool, topo.Nodes())
@@ -283,7 +297,7 @@ func TestPlacementDifferential(t *testing.T) {
 			sizes = slices.DeleteFunc(sizes, func(n int) bool { return n < 1 || n > free })
 			slices.Sort(sizes)
 			for _, n := range slices.Compact(sizes) {
-				name := fmt.Sprintf("%s-%d/busy%.2f/n%d", topo.Name(), topo.Nodes(), busyFrac, n)
+				name := fmt.Sprintf("%s/busy%.2f/n%d", sh.name, busyFrac, n)
 				s := New(topo, TopologyAware, 1)
 				copy(s.busy, busy)
 				s.nBusy = nBusy
@@ -294,7 +308,32 @@ func TestPlacementDifferential(t *testing.T) {
 				if want := referenceTopology(topo, busy, n); !slices.Equal(got, want) {
 					t.Errorf("%s: placement differs from the sort-based reference\n got %v\nwant %v", name, got, want)
 				}
+				if ft, ok := topo.(*topology.FatTree); ok {
+					checkLeafCost(t, name, ft, busy, n)
+				}
 			}
+		}
+	}
+}
+
+// checkLeafCost requires leafCost to price every seed that placement
+// samples exactly as the sort-based reference does: the summed hop
+// distance of its n nearest free nodes. Many seeds lead to the same
+// placement, so a pricing error can pick another seed without changing
+// the nodes; comparing the prices catches it anyway.
+func checkLeafCost(t *testing.T, name string, ft *topology.FatTree, busy []bool, n int) {
+	t.Helper()
+	var free []int
+	for i, b := range busy {
+		if !b {
+			free = append(free, i)
+		}
+	}
+	price := leafCost(ft, free, n)
+	for si := 0; si < len(free); si += max(1, len(free)/48) {
+		if _, want := sortedNearestFrom(ft, free[si], free, n); float64(price(free[si])) != want {
+			t.Errorf("%s: seed %d priced %d, sort-based reference %v", name, free[si], price(free[si]), want)
+			return
 		}
 	}
 }
