@@ -9,7 +9,7 @@ GO ?= go
 # cannot run" without chasing @latest breakage).
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build vet lint lint-json clusterlint staticcheck test race racesmoke cover bench bench-baseline benchdiff benchdiff-engine difftest fuzz profile ablation paper export serve fleet examples crashtest fleettest disktest loadtest clean
+.PHONY: all build vet lint lint-json clusterlint staticcheck test race racesmoke cover benchdiff-engine difftest fuzz profile ablation paper export serve fleet examples crashtest fleettest disktest loadtest clean
 
 all: build lint test
 
@@ -75,29 +75,15 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -n 1
 	./scripts/cover_floor.sh
 
-# The full benchmark harness: one benchmark per table and figure.
-bench:
-	$(GO) test -bench=. -benchmem .
-
-# Re-record the committed benchmark baseline (BENCH_seed.json). Run on a
-# quiet machine after deliberate performance changes.
-bench-baseline:
-	$(GO) test -bench=. -benchmem . | $(GO) run ./scripts/benchdiff -record -out BENCH_seed.json
-
-# Compare a fresh benchmark run against the committed baseline; exits
-# non-zero when ns/op or allocs/op regresses by more than 10%. Advisory
-# in CI (continue-on-error) because shared runners are noisy.
-benchdiff:
-	$(GO) test -bench=. -benchmem . | $(GO) run ./scripts/benchdiff -baseline BENCH_seed.json
-
-# Engine benchmark gate: only the simulator-level benchmarks
-# (BenchmarkDES_*, BenchmarkMPISim_*), compared hard against the
-# baseline. These measure the DES engine itself, are far less noisy than
-# the full-figure benchmarks, and a regression here slows every
-# experiment — so CI fails on them.
+# Engine benchmark gate (scripts/benchdiff_engine.sh): the DES and MPISim
+# engine benchmarks (BenchmarkDES_*, BenchmarkMPISim_*) of BASE and of the
+# working tree, built from a temporary git worktree and run on this
+# machine in 5 alternating rounds. Fails when a median ns/op or allocs/op
+# regresses by more than 10% plus its absolute floor: an engine
+# regression slows every experiment, so CI fails on it.
+BASE ?= HEAD^1
 benchdiff-engine:
-	$(GO) test -run '^$$' -bench='^Benchmark(DES|MPISim)_' -benchmem . | \
-		$(GO) run ./scripts/benchdiff -baseline BENCH_seed.json -prefix BenchmarkDES_,BenchmarkMPISim_
+	BASE='$(BASE)' ./scripts/benchdiff_engine.sh
 
 # The differential tier (see TESTING.md): the calendar-queue fast path
 # must schedule bit-identically to the reference heap. Runs the
@@ -110,11 +96,15 @@ benchdiff-engine:
 # the GOMAXPROCS-sharded Fig. 4/5 sweeps against the serial
 # referenceFigure4/referenceFigure5, the service's job-history list against
 # the old map-plus-slice eviction scan, and the whole des test suite pinned
-# to the reference queue via the build tag. The placement oracle also
-# covers the fat-tree shapes where per-leaf seed pricing has edge cases.
+# to the reference queue via the build tag. Every kind's results must hash
+# to testdata/schedulers.golden (internal/experiment) on both queues: the
+# calendar queue in the first run, the reference heap under the tag. The
+# placement oracle also covers the fat-tree shapes where per-leaf seed
+# pricing has edge cases.
 difftest:
 	$(GO) test -run 'Differential|Oracle|Fuzz|CondSignal|WorkerReuse' -v ./internal/des/... ./internal/experiment/ ./internal/sched/ ./internal/interconnect/ ./internal/simdvec/ ./internal/stats/ ./internal/bench/osu/ ./internal/service/
 	$(GO) test -tags desrefqueue ./internal/des/...
+	$(GO) test -tags desrefqueue -run 'TestDifferentialSchedulers' -v ./internal/experiment/
 
 # Coverage-guided fuzz smoke over the machine-preset validator. The
 # committed corpus (internal/machine/testdata/fuzz) replays as regression

@@ -6,9 +6,10 @@
 // stencils, molecular dynamics, spectral transforms) and calibrated
 // performance models that regenerate every table and figure of the paper.
 //
-// The root package holds the benchmark harness (bench_test.go): one
-// testing.B benchmark per table and figure. The library lives under
-// internal/; the binaries under cmd/; runnable examples under examples/.
+// The root package holds the mechanism ablation benchmarks
+// (ablation_test.go); cmd/clustereval prints every table and figure, and
+// perfbench times their regeneration. The library lives under internal/;
+// the binaries under cmd/; runnable examples under examples/.
 // All dispatch flows through internal/experiment, a typed registry that
 // defines each job kind (stream, hybrid-stream, fpu, net, hpl, hpcg, app)
 // exactly once — parameter schema, defaults, validation, canonical cache

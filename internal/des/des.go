@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"clustereval/internal/units"
 )
@@ -86,27 +85,10 @@ type Engine struct {
 	failure error
 }
 
-// refForced pins engines created by New to the reference queue at runtime.
-// It exists for the differential harness in internal/experiment, which
-// re-runs whole experiments — their engines buried inside mpisim worlds —
-// on the reference scheduler. Flip it only around serialized test runs.
-var refForced atomic.Bool
-
-// UseReferenceQueue forces every subsequently created engine onto the
-// reference heap queue (true) or back to the build default (false). Test
-// hook for differential runs; see also the desrefqueue build tag and
-// NewReference.
-func UseReferenceQueue(on bool) { refForced.Store(on) }
-
 // New returns an engine with the clock at zero, using the build-default
 // event queue (the calendar queue, or the reference heap under the
 // desrefqueue build tag).
-func New() *Engine {
-	if refForced.Load() {
-		return newEngine(newRefQueue())
-	}
-	return newEngine(newDefaultQueue())
-}
+func New() *Engine { return newEngine(newDefaultQueue()) }
 
 // NewReference returns an engine pinned to the reference heap queue
 // regardless of build tags: the baseline side of differential tests.

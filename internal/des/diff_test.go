@@ -1,7 +1,12 @@
 package des
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"clustereval/internal/units"
@@ -86,14 +91,35 @@ func runScripted(t *testing.T, eng *Engine, seed uint64) []string {
 	return trace
 }
 
+// update rewrites testdata/traces.golden from this build's traces.
+var update = flag.Bool("update", false, "rewrite testdata/traces.golden")
+
+const tracesGolden = "testdata/traces.golden"
+
 // TestDifferentialEngines is the engine-level half of the differential
 // harness: the calendar-queue fast path must schedule bit-identically to
 // the reference heap on seeded workloads covering delays, equal-time
-// batches, mid-run spawns, Cond wake-ups, and Resource contention.
+// batches, mid-run spawns, Cond wake-ups, and Resource contention. The
+// trace of New's engine must also hash to the committed golden, so the
+// desrefqueue build, where New and NewReference share one queue, still
+// checks the reference heap against known-good bytes.
 func TestDifferentialEngines(t *testing.T) {
+	want := map[string]string{}
+	if !*update {
+		buf, err := os.ReadFile(tracesGolden)
+		if err != nil {
+			t.Fatalf("%v (regenerate with -update)", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(buf)), "\n") {
+			name, sum, _ := strings.Cut(line, " ")
+			want[name] = sum
+		}
+	}
+	var golden strings.Builder
 	for seed := uint64(0); seed < 5; seed++ {
 		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+		name := fmt.Sprintf("seed%d", seed)
+		t.Run(name, func(t *testing.T) {
 			fast := runScripted(t, New(), seed)
 			ref := runScripted(t, NewReference(), seed)
 			if len(fast) != len(ref) {
@@ -107,7 +133,18 @@ func TestDifferentialEngines(t *testing.T) {
 			if len(fast) == 0 {
 				t.Fatal("empty trace: workload did nothing")
 			}
+			sum := sha256.Sum256([]byte(strings.Join(fast, "\n")))
+			got := hex.EncodeToString(sum[:])
+			fmt.Fprintf(&golden, "%s %s\n", name, got)
+			if !*update && got != want[name] {
+				t.Errorf("trace hash drifted from %s:\n got  %s\n want %s", tracesGolden, got, want[name])
+			}
 		})
+	}
+	if *update {
+		if err := os.WriteFile(tracesGolden, []byte(golden.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -2,11 +2,15 @@ package experiment_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
-	"clustereval/internal/des"
 	"clustereval/internal/experiment"
 )
 
@@ -56,33 +60,72 @@ func runCanonical(t *testing.T, spec experiment.Spec) []byte {
 	return buf
 }
 
+// update rewrites testdata/schedulers.golden from this build's results.
+var update = flag.Bool("update", false, "rewrite testdata/schedulers.golden")
+
+const schedulersGolden = "testdata/schedulers.golden"
+
+// readSchedulersGolden parses the golden: one "kind/seedN sha256" line
+// per case.
+func readSchedulersGolden(t *testing.T) map[string]string {
+	t.Helper()
+	buf, err := os.ReadFile(schedulersGolden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(buf)), "\n") {
+		name, sum, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", schedulersGolden, line)
+		}
+		want[name] = sum
+	}
+	return want
+}
+
 // TestDifferentialSchedulers is the experiment-level half of the
-// differential harness: every registered kind, run at several seeds under
-// the reference heap scheduler and under the calendar-queue fast path,
-// must produce byte-identical canonical results. This is the
-// bit-reproducibility contract of the whole PR — if the fast path
-// reorders even one equal-timestamp wake-up anywhere in a simulation,
-// some kind's result bytes shift and this test names it.
+// differential harness: every registered kind, run at several seeds,
+// must produce canonical results whose SHA-256 matches the committed
+// golden. `make difftest` runs it on the calendar-queue fast path and
+// again with -tags desrefqueue on the reference heap, so both schedulers
+// must reproduce the same bytes. If either queue moves the simulated
+// time of any event, some kind's result bytes shift and this test names
+// it. No kind's result depends on the order of equal-time wake-ups, so
+// that order is pinned by TestDifferentialEngines in internal/des.
 func TestDifferentialSchedulers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix is not short")
 	}
-	defer des.UseReferenceQueue(false)
+	var want map[string]string
+	if !*update {
+		want = readSchedulersGolden(t)
+	}
+	var golden strings.Builder
+	cases := 0
 	for _, spec := range diffCases(t) {
-		spec := spec
 		for seed := uint64(0); seed < 3; seed++ {
 			spec.Seed = seed
-			spec := spec
-			t.Run(fmt.Sprintf("%s/seed%d", spec.Kind, seed), func(t *testing.T) {
-				des.UseReferenceQueue(true)
-				ref := runCanonical(t, spec)
-				des.UseReferenceQueue(false)
-				fast := runCanonical(t, spec)
-				if string(ref) != string(fast) {
-					t.Errorf("scheduler-dependent result for %s seed %d:\nreference: %s\nfast:      %s",
-						spec.Kind, seed, ref, fast)
+			name := fmt.Sprintf("%s/seed%d", spec.Kind, seed)
+			cases++
+			t.Run(name, func(t *testing.T) {
+				sum := sha256.Sum256(runCanonical(t, spec))
+				got := hex.EncodeToString(sum[:])
+				fmt.Fprintf(&golden, "%s %s\n", name, got)
+				if !*update && got != want[name] {
+					t.Errorf("scheduler-dependent or drifted result for %s seed %d:\n got  %s\n want %s",
+						spec.Kind, seed, got, want[name])
 				}
 			})
 		}
+	}
+	if *update {
+		if err := os.WriteFile(schedulersGolden, []byte(golden.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if len(want) != cases {
+		t.Errorf("%s has %d entries for %d cases: regenerate with -update", schedulersGolden, len(want), cases)
 	}
 }

@@ -6,9 +6,8 @@
 // pair, Table II builds, application catalog — lives in the
 // internal/experiment registry; this package drives those same registry
 // entry points and adds only the presentation (plots, tables, heatmaps).
-// clustereval and the examples are thin wrappers over this package; the
-// benchmark harness (bench_test.go) drives the same entry points so that
-// `go test -bench` reproduces the full evaluation.
+// clustereval and the examples are thin wrappers over this package, and
+// perfbench's paper workload times the same entry points.
 package figures
 
 import (

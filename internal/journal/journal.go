@@ -10,7 +10,10 @@
 // and truncated away on the next open. Damage anywhere *before* intact
 // records cannot be produced by a crash of this writer, only by external
 // corruption, so it is refused with ErrCorrupt rather than silently
-// skipped — recovery must never invent a job history.
+// skipped — recovery must never invent a job history. Neither can a
+// record whose checksum verifies but whose body this build cannot decode
+// (a record type from a newer build, say): the writer finished it, so it
+// is ErrCorrupt wherever it sits, never a torn tail to truncate.
 package journal
 
 import (
@@ -80,9 +83,10 @@ func (r Record) validate() error {
 	return nil
 }
 
-// ErrCorrupt reports a damaged record that is followed by further intact
-// records — damage a crash of this writer cannot produce.
-var ErrCorrupt = errors.New("journal: corrupt record before end of journal")
+// ErrCorrupt reports damage a crash of this writer cannot produce: a
+// damaged record followed by further intact records, or a checksummed
+// record that does not decode.
+var ErrCorrupt = errors.New("journal: corrupt record")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -129,17 +133,13 @@ func encode(r Record) ([]byte, error) {
 	return frameLine(body), nil
 }
 
-// decodeLine parses one framed line (without its newline) into a journal
-// record or a replication frame, and validates it.
-func decodeLine[T interface {
+// decodeBody parses one checksummed body into a journal record or a
+// replication frame, and validates it.
+func decodeBody[T interface {
 	Record | Frame
 	validate() error
-}](line []byte) (T, error) {
+}](body []byte) (T, error) {
 	var v T
-	body, err := unframeLine(line)
-	if err != nil {
-		return v, err
-	}
 	if err := json.Unmarshal(body, &v); err != nil {
 		return v, fmt.Errorf("journal: undecodable %T: %w", v, err)
 	}
@@ -150,20 +150,22 @@ func decodeLine[T interface {
 }
 
 // Decode parses a journal image and returns the records of its longest
-// valid prefix plus the byte length of that prefix. A damaged or
-// unterminated *tail* — the signature of a crash mid-append — is
-// reported via torn=true and is not an error; Open truncates it away. A
-// damaged record with intact records after it means external corruption
-// and yields ErrCorrupt: the prefix before the damage is still returned,
+// valid prefix plus the byte length of that prefix. A malformed,
+// checksum-failing or unterminated *tail* — the signature of a crash
+// mid-append — is reported via torn=true and is not an error; Open
+// truncates it away. A damaged line with intact lines after it, or a line
+// whose checksum verifies but which does not decode, cannot come from a
+// crash and yields ErrCorrupt: the prefix before it is still returned,
 // but the journal must not be silently reused.
 func Decode(data []byte) (recs []Record, goodLen int, torn bool, err error) {
-	return scan(data, decodeLine[Record])
+	return scan(data, decodeBody[Record])
 }
 
-// scan parses an image of framed lines, each decoded by decode, with
+// scan parses an image of framed lines, each body decoded by decode, with
 // Decode's damage rules: the values of the longest valid prefix and its
 // byte length, torn=true for a damaged or unterminated tail, ErrCorrupt
-// for damage with an intact line after it.
+// for damage with an intact line after it and for any checksummed line
+// decode refuses.
 func scan[T any](data []byte, decode func([]byte) (T, error)) (vals []T, goodLen int, torn bool, err error) {
 	off := 0
 	for off < len(data) {
@@ -173,12 +175,19 @@ func scan[T any](data []byte, decode func([]byte) (T, error)) (vals []T, goodLen
 			// its line, so an unterminated line was never acknowledged.
 			return vals, off, true, nil
 		}
-		v, derr := decode(data[off : off+nl])
-		if derr != nil {
-			if intactLineAfter(data[off+nl+1:], decode) {
-				return vals, off, false, fmt.Errorf("%w at byte %d: %w", ErrCorrupt, off, derr)
+		body, ferr := unframeLine(data[off : off+nl])
+		if ferr != nil {
+			if intactLineAfter(data[off+nl+1:]) {
+				return vals, off, false, fmt.Errorf("%w at byte %d: %w", ErrCorrupt, off, ferr)
 			}
 			return vals, off, true, nil
+		}
+		v, derr := decode(body)
+		if derr != nil {
+			// The checksum covers the body, so the writer finished this
+			// line: no crash tore it, and truncating it would erase
+			// acknowledged history.
+			return vals, off, false, fmt.Errorf("%w at byte %d: %w", ErrCorrupt, off, derr)
 		}
 		vals = append(vals, v)
 		off += nl + 1
@@ -186,15 +195,15 @@ func scan[T any](data []byte, decode func([]byte) (T, error)) (vals []T, goodLen
 	return vals, off, false, nil
 }
 
-// intactLineAfter reports whether any complete line decode accepts
-// follows.
-func intactLineAfter[T any](data []byte, decode func([]byte) (T, error)) bool {
+// intactLineAfter reports whether any complete line with a verifying
+// checksum follows.
+func intactLineAfter(data []byte) bool {
 	for len(data) > 0 {
 		nl := bytes.IndexByte(data, '\n')
 		if nl < 0 {
 			return false
 		}
-		if _, err := decode(data[:nl]); err == nil {
+		if _, err := unframeLine(data[:nl]); err == nil {
 			return true
 		}
 		data = data[nl+1:]
@@ -245,8 +254,9 @@ type Journal struct {
 
 // Open opens (creating if absent) the journal at path, fsyncs its
 // directory, and replays its records. A torn final record is truncated
-// away; mid-file corruption is refused with ErrCorrupt. The returned
-// journal is positioned for appending.
+// away; mid-file corruption and a checksummed record this build cannot
+// decode are refused with ErrCorrupt, leaving the file untouched. The
+// returned journal is positioned for appending.
 func Open(path string) (*Journal, []Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {

@@ -179,6 +179,48 @@ func TestCorruptMidFile(t *testing.T) {
 	}
 }
 
+// TestUndecodableRecordRefused pins that a line whose checksum verifies
+// but whose record this build cannot decode — a record type from a newer
+// build — is ErrCorrupt wherever it sits. The writer finished that line,
+// so it is not a torn tail, and truncating it would erase acknowledged
+// history.
+func TestUndecodableRecordRefused(t *testing.T) {
+	first, err := encode(sample(TypeSubmitted, "j000001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknown := frameLine([]byte(`{"type":"checkpoint","job":"j000001"}`))
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"tail", append(append([]byte{}, first...), unknown...)},
+		{"mid-file", append(append(append([]byte{}, first...), unknown...), first...)},
+		{"bad json", append(append([]byte{}, first...), frameLine([]byte(`{"type":`))...)},
+		{"no job id", append(append([]byte{}, first...), frameLine([]byte(`{"type":"started"}`))...)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			recs, good, torn, err := Decode(c.data)
+			if !errors.Is(err, ErrCorrupt) || torn {
+				t.Fatalf("Decode = torn=%v err=%v, want ErrCorrupt", torn, err)
+			}
+			if len(recs) != 1 || good != len(first) {
+				t.Errorf("Decode kept %d records / %d bytes, want the 1-record prefix of %d bytes", len(recs), good, len(first))
+			}
+			path := filepath.Join(t.TempDir(), "wal")
+			if err := os.WriteFile(path, c.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open = %v, want ErrCorrupt", err)
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, c.data) {
+				t.Errorf("Open left %d of %d bytes: it truncated a journal it refused", len(after), len(c.data))
+			}
+		})
+	}
+}
+
 // TestShutdownMarkerRoundtrip pins the marker semantics recovery keys
 // on: present only when the last writer drained cleanly.
 func TestShutdownMarkerRoundtrip(t *testing.T) {

@@ -81,9 +81,10 @@ func EncodeFrames(frames []Frame) ([]byte, error) {
 // tolerance as Decode: the frames of the longest valid prefix are
 // returned with the prefix's byte length; a damaged or unterminated
 // tail is reported via torn=true (the crash signature — truncate and
-// keep going) while damage before intact frames yields ErrCorrupt.
+// keep going) while damage before intact frames, or a checksummed frame
+// that does not decode, yields ErrCorrupt.
 func DecodeFrames(data []byte) (frames []Frame, goodLen int, torn bool, err error) {
-	return scan(data, decodeLine[Frame])
+	return scan(data, decodeBody[Frame])
 }
 
 // ErrGap reports an ingest batch whose first new frame does not extend

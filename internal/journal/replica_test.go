@@ -309,3 +309,41 @@ func TestDecodeFramesRejectsInvalid(t *testing.T) {
 		t.Fatalf("DecodeFrames(torn) kept %d frames / %d bytes, want 1 / %d", len(frames), good, len(line))
 	}
 }
+
+// TestUndecodableFrameRefused is TestUndecodableRecordRefused for the
+// replication stream: a checksummed frame that does not decode is
+// ErrCorrupt at the tail as mid-stream, and a replica store holding one
+// refuses to open rather than truncating it.
+func TestUndecodableFrameRefused(t *testing.T) {
+	first, err := EncodeFrame(frame("s1", 1, TypeSubmitted, "j000001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknown := frameLine([]byte(`{"src":"s1","seq":2,"rec":{"type":"checkpoint","job":"j000001"}}`))
+	tail := append(append([]byte{}, first...), unknown...)
+	for name, data := range map[string][]byte{
+		"tail":     tail,
+		"mid-file": append(append([]byte{}, tail...), first...),
+		"zero seq": append(append([]byte{}, first...), frameLine([]byte(`{"src":"s1","rec":{"type":"started","job":"j1"}}`))...),
+	} {
+		frames, good, torn, err := DecodeFrames(data)
+		if !errors.Is(err, ErrCorrupt) || torn {
+			t.Fatalf("%s: DecodeFrames = torn=%v err=%v, want ErrCorrupt", name, torn, err)
+		}
+		if len(frames) != 1 || good != len(first) {
+			t.Errorf("%s: DecodeFrames kept %d frames / %d bytes, want 1 / %d", name, len(frames), good, len(first))
+		}
+	}
+
+	dir := t.TempDir()
+	path := ReplicaPath(dir, "s1")
+	if err := os.WriteFile(path, tail, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenReplicaStore(dir); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("OpenReplicaStore = %v, want ErrCorrupt", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, tail) {
+		t.Errorf("OpenReplicaStore left %d of %d bytes: it truncated a replica it refused", len(after), len(tail))
+	}
+}

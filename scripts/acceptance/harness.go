@@ -169,6 +169,7 @@ type jobView struct {
 	State     string          `json:"state"`
 	Error     string          `json:"error"`
 	Recovered bool            `json:"recovered"`
+	StartedAt time.Time       `json:"started_at"`
 	Result    json.RawMessage `json:"result"`
 }
 
@@ -290,6 +291,27 @@ func finalCheck(url string, ids []string, fault string) (int, error) {
 		}
 	}
 	return recovered, nil
+}
+
+// requireRerun checks that the fault landed mid-flight: at least one job
+// is marked recovered and started after the fault, so recovery re-ran a
+// victim instead of only rehydrating jobs that had already finished.
+func requireRerun(sc scenario, url string, ids []string, faultAt time.Time, fault string) error {
+	n := 0
+	for _, id := range ids {
+		v, err := getJob(url, id)
+		if err != nil {
+			return err
+		}
+		if v.Recovered && v.StartedAt.After(faultAt) {
+			n++
+		}
+	}
+	if n == 0 {
+		return fmt.Errorf("no recovered job started after %s: every job was terminal before it landed, so no victim re-ran", fault)
+	}
+	logf(sc, "%d/%d jobs were in flight at %s and re-ran", n, len(ids), fault)
+	return nil
 }
 
 // fresh submits one new job and waits for it to finish: a recovered

@@ -55,6 +55,12 @@ func netSpec(size, iters, dst int) string {
 	return fmt.Sprintf(`{"kind":"net","size_bytes":%d,"iters":%d,"src_node":0,"dst_node":%d}`, size, iters, dst)
 }
 
+// midFlightIters sizes the crash and fleet rows' net jobs at roughly
+// 0.1 s each, so the workload is still queued or running when the fault
+// lands after the first few terminal jobs, and recovery must re-run the
+// victims rather than only rehydrate finished jobs.
+const midFlightIters = 30000
+
 var (
 	fleetDaemon = []string{"clusterfleet", "-shards", "3", "-workers", "2", "-queue", "128", "-probe-interval", "100ms"}
 	loadDaemon  = []string{"clusterfleet", "-shards", "3", "-workers", "4", "-queue", "512", "-cache", "4096", "-probe-interval", "100ms"}
@@ -62,11 +68,13 @@ var (
 
 // fleetRow is the fleet scenario at a given workload size. The race lane
 // runs fewer jobs because its instrumented binaries are several times
-// slower.
+// slower. Three shards run six workers to crash's two, so each job is
+// three times as long to keep the victim shard's queue as deep at the
+// kill.
 func fleetRow(name string, race bool, jobs int) scenario {
 	return scenario{
 		name: name, race: race, run: fleet, daemon: fleetDaemon, jobs: jobs,
-		spec:     func(i int) string { return netSpec(4096+512*i, 60, 1+i%31) },
+		spec:     func(i int) string { return netSpec(4096+512*i, 3*midFlightIters, 1+i%31) },
 		attempts: 1, poll: 20 * time.Millisecond,
 		killAt: 10, before: 60 * time.Second, settle: 180 * time.Second,
 	}
@@ -76,7 +84,7 @@ var scenarios = []scenario{
 	{
 		name: "crash", run: crash,
 		daemon: []string{"clusterd", "-workers", "2", "-drain-timeout", "60s"}, jobs: 50,
-		spec:     func(i int) string { return netSpec(4096+512*i, 60, i+1) },
+		spec:     func(i int) string { return netSpec(4096+512*i, midFlightIters, i+1) },
 		attempts: 1, poll: 20 * time.Millisecond,
 		killAt: 5, before: 30 * time.Second, settle: 120 * time.Second,
 	},

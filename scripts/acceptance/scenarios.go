@@ -15,34 +15,36 @@ func logf(sc scenario, format string, args ...any) {
 
 // survive starts the row's daemon, submits its workload, and calls
 // inject once killAt jobs are terminal. It returns the daemon serving
-// after the fault, and the job IDs once every job is terminal again.
-func (h *harness) survive(sc scenario, fault string, inject func(*daemon, []string) (*daemon, error)) (*daemon, []string, error) {
+// after the fault, the job IDs once every job is terminal again, and the
+// time the fault was injected.
+func (h *harness) survive(sc scenario, fault string, inject func(*daemon, []string) (*daemon, error)) (*daemon, []string, time.Time, error) {
 	d, err := h.start(sc)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, time.Time{}, err
 	}
 	if sc.daemon[0] == "clusterfleet" {
 		if err := h.waitHealth(d.url, 3, false, 30*time.Second, 50*time.Millisecond); err != nil {
-			return nil, nil, err
+			return nil, nil, time.Time{}, err
 		}
 	}
 	ids, err := h.submitAll(d.url, sc)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, time.Time{}, err
 	}
 	logf(sc, "%d jobs acknowledged", len(ids))
 	// The fault lands while the journals hold both terminal jobs, which
 	// must rehydrate, and in-flight ones, which must re-run exactly once.
 	if err := h.waitTerminal(d.url, ids, sc.killAt, sc.before, sc.poll); err != nil {
-		return nil, nil, fmt.Errorf("before %s: %w", fault, err)
+		return nil, nil, time.Time{}, fmt.Errorf("before %s: %w", fault, err)
 	}
+	faultAt := time.Now()
 	if d, err = inject(d, ids); err != nil {
-		return nil, nil, err
+		return nil, nil, time.Time{}, err
 	}
 	if err := h.waitTerminal(d.url, ids, len(ids), sc.settle, sc.poll); err != nil {
-		return nil, nil, fmt.Errorf("after %s: %w", fault, err)
+		return nil, nil, time.Time{}, fmt.Errorf("after %s: %w", fault, err)
 	}
-	return d, ids, nil
+	return d, ids, faultAt, nil
 }
 
 // killShard SIGKILLs the shard pickShard chooses for ids and returns its
@@ -69,7 +71,7 @@ func (h *harness) killShard(sc scenario, url string, ids []string, wipe bool) (s
 // same journal, and requires every job back, done and marked recovered,
 // and a clean drain afterwards.
 func crash(h *harness, sc scenario) error {
-	d, ids, err := h.survive(sc, "the crash", func(d *daemon, _ []string) (*daemon, error) {
+	d, ids, faultAt, err := h.survive(sc, "the crash", func(d *daemon, _ []string) (*daemon, error) {
 		if err := d.cmd.Process.Kill(); err != nil { // SIGKILL: no drain, no marker
 			return nil, fmt.Errorf("killing daemon: %w", err)
 		}
@@ -86,6 +88,9 @@ func crash(h *harness, sc scenario) error {
 	}
 	if recovered != len(ids) {
 		return fmt.Errorf("%d/%d jobs marked recovered after restart", recovered, len(ids))
+	}
+	if err := requireRerun(sc, d.url, ids, faultAt, "the crash"); err != nil {
+		return err
 	}
 	metrics, err := get(d.url + "/v1/metrics")
 	if err != nil {
@@ -105,7 +110,7 @@ func crash(h *harness, sc scenario) error {
 // IDs resolvable without coordinator state.
 func fleet(h *harness, sc scenario) error {
 	var victim string
-	d, ids, err := h.survive(sc, "the shard kill", func(d *daemon, ids []string) (*daemon, error) {
+	d, ids, faultAt, err := h.survive(sc, "the shard kill", func(d *daemon, ids []string) (*daemon, error) {
 		var err error
 		victim, err = h.killShard(sc, d.url, ids, false)
 		return d, err
@@ -114,6 +119,10 @@ func fleet(h *harness, sc scenario) error {
 		return err
 	}
 	if _, err := finalCheck(d.url, ids, "the shard kill"); err != nil {
+		return err
+	}
+	// Only the victim's jobs are marked recovered at this point.
+	if err := requireRerun(sc, d.url, ids, faultAt, "the shard kill"); err != nil {
 		return err
 	}
 	metrics, err := get(d.url + "/v1/metrics")
@@ -155,7 +164,7 @@ func fleet(h *harness, sc scenario) error {
 // work completing.
 func disk(h *harness, sc scenario) error {
 	var victim string
-	d, ids, err := h.survive(sc, "the disk loss", func(d *daemon, ids []string) (*daemon, error) {
+	d, ids, _, err := h.survive(sc, "the disk loss", func(d *daemon, ids []string) (*daemon, error) {
 		var err error
 		victim, err = h.killShard(sc, d.url, ids, true)
 		return d, err

@@ -1,101 +1,99 @@
-// Command benchdiff records and compares `go test -bench` results so CI
-// can flag performance regressions against a committed baseline.
+// Command benchdiff compares two `go test -bench -benchmem` outputs taken
+// on the same machine: the base (a parent commit) and the change.
 //
-// Record a baseline (reads benchmark text output on stdin):
+//	go run ./scripts/benchdiff base.txt head.txt
 //
-//	go test -bench=. -benchmem . | go run ./scripts/benchdiff -record -out BENCH_seed.json
-//
-// Compare a fresh run against the baseline:
-//
-//	go test -bench=. -benchmem . | go run ./scripts/benchdiff -baseline BENCH_seed.json
-//
-// A benchmark regresses when its ns/op or allocs/op exceeds the baseline
-// by more than 10% (plus a small absolute floor so single-digit-alloc
-// benchmarks aren't flagged on a one-alloc wobble). Any regression lists
-// on stderr and exits 1; benchmarks present on only one side are
-// reported but never fail the run. Wall-clock noise makes ns/op jumpy on
-// shared CI machines, which is why the CI step comparing the full suite
-// is advisory (continue-on-error) — the committed baseline still gives
-// reviewers a number to argue with.
-//
-// -prefix restricts a comparison to benchmarks whose names start with one
-// of the given comma-separated prefixes. CI uses it to gate the
-// engine-level benchmarks (BenchmarkDES_*, BenchmarkMPISim_*) hard:
-//
-//	go test -bench='^Benchmark(DES|MPISim)_' -benchmem . \
-//	  | go run ./scripts/benchdiff -prefix BenchmarkDES_,BenchmarkMPISim_
+// A file may hold several lines per benchmark (rounds or -count); each
+// side is reduced to its per-benchmark medians of ns/op and allocs/op. A
+// benchmark regresses when the change's median exceeds the base's by
+// more than 10% and by more than an absolute floor, so a one-alloc or
+// sub-microsecond wobble on a tiny benchmark does not trip it. Every
+// median gap is printed. The exit status is 1 on a regression, and also
+// when the two files share no benchmark, since a gate that compares
+// nothing proves nothing; a benchmark on one side only is listed but
+// does not fail the run. `make benchdiff-engine` drives it.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Regression thresholds: relative slack for noise, absolute floors so
-// tiny baselines (a 4-alloc benchmark, a 600ns benchmark) need a real
+// Regression thresholds: relative slack for noise, and absolute floors so
+// tiny medians (a 4-alloc benchmark, a 600 ns benchmark) need a real
 // move, not a rounding wobble, to trip.
 const (
 	relSlack    = 0.10
 	nsFloor     = 100.0
-	allocsFloor = 2.0 // B/op is recorded for the curious but not judged
+	allocsFloor = 2.0
 )
 
-// result is one benchmark's recorded figures.
-type result struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
+// samples holds one benchmark's measurements across repeated lines.
+type samples struct{ ns, allocs []float64 }
 
-func main() {
-	record := flag.Bool("record", false, "write a baseline from stdin instead of comparing")
-	out := flag.String("out", "BENCH_seed.json", "baseline file to write with -record")
-	baseline := flag.String("baseline", "BENCH_seed.json", "baseline file to compare stdin against")
-	prefix := flag.String("prefix", "", "comma-separated name prefixes: compare only matching benchmarks")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	var err error
-	if *record {
-		err = recordBaseline(os.Stdin, *out)
-	} else {
-		err = compare(os.Stdin, *baseline, splitPrefixes(*prefix))
+// run compares the two files named by args and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) != 2 {
+		fmt.Fprintln(stderr, "usage: benchdiff base.txt head.txt")
+		return 2
 	}
+	var sides [2]map[string]*samples
+	for i, path := range args {
+		f, err := os.Open(path)
+		if err != nil {
+			fmt.Fprintln(stderr, "benchdiff:", err)
+			return 1
+		}
+		sides[i], err = parse(f)
+		f.Close()
+		if err != nil {
+			fmt.Fprintf(stderr, "benchdiff: %s: %v\n", path, err)
+			return 1
+		}
+	}
+	regressions, err := compare(sides[0], sides[1], stdout)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 1
 	}
+	if len(regressions) > 0 {
+		fmt.Fprintf(stderr, "benchdiff: %d regression(s) beyond %.0f%% plus the floor:\n", len(regressions), 100*relSlack)
+		for _, r := range regressions {
+			fmt.Fprintln(stderr, "  "+r)
+		}
+		return 1
+	}
+	return 0
 }
 
-// benchLine matches `go test -bench` result lines, e.g.
+// benchLine matches a `go test -bench` result line, e.g.
 //
-//	BenchmarkFig7_HPCG-8   969796   1319 ns/op   848 B/op   4 allocs/op
+//	BenchmarkDES_SpawnReuse-8   2905   412345 ns/op   264648 B/op   1685 allocs/op
 //
-// The -N GOMAXPROCS suffix is stripped so baselines port across machines.
+// The -N GOMAXPROCS suffix is stripped.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
-// parse extracts benchmark results from `go test -bench` text output,
-// echoing every line through to stdout so the tool can sit at the end of
-// a pipe without hiding the run.
-func parse(r io.Reader) (map[string]result, error) {
-	res := map[string]result{}
+// parse collects every benchmark result line of a `go test -bench` output
+// that reports ns/op.
+func parse(r io.Reader) (map[string]*samples, error) {
+	res := map[string]*samples{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line)
-		m := benchLine.FindStringSubmatch(line)
+		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
-		var cur result
+		ns, allocs := -1.0, -1.0
 		fields := strings.Fields(m[2])
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -104,40 +102,40 @@ func parse(r io.Reader) (map[string]result, error) {
 			}
 			switch fields[i+1] {
 			case "ns/op":
-				cur.NsPerOp = v
-			case "B/op":
-				cur.BytesPerOp = v
+				ns = v
 			case "allocs/op":
-				cur.AllocsPerOp = v
+				allocs = v
 			}
 		}
-		if cur.NsPerOp > 0 {
-			res[m[1]] = cur
+		if ns < 0 {
+			continue
+		}
+		s := res[m[1]]
+		if s == nil {
+			s = &samples{}
+			res[m[1]] = s
+		}
+		s.ns = append(s.ns, ns)
+		if allocs >= 0 { // absent without -benchmem
+			s.allocs = append(s.allocs, allocs)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(res) == 0 {
-		return nil, fmt.Errorf("no benchmark results on stdin")
-	}
-	return res, nil
+	return res, sc.Err()
 }
 
-func recordBaseline(r io.Reader, path string) error {
-	res, err := parse(r)
-	if err != nil {
-		return err
+// median returns the middle value of xs (the mean of the two middle
+// values for an even count), or -1 for no values.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return -1
 	}
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
 	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("benchdiff: recorded %d benchmarks to %s\n", len(res), path)
-	return nil
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // regressed reports whether got exceeds want by the relative slack plus
@@ -146,94 +144,61 @@ func regressed(want, got, floor float64) bool {
 	return got > want*(1+relSlack) && got-want > floor
 }
 
-// splitPrefixes parses the -prefix flag: nil (match everything) for an
-// empty flag, otherwise the non-empty comma-separated entries.
-func splitPrefixes(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
+// gap formats the relative change from want to got.
+func gap(want, got float64) string {
+	if want <= 0 {
+		return "n/a"
 	}
-	return out
+	return fmt.Sprintf("%+.1f%%", 100*(got-want)/want)
 }
 
-// matches reports whether name passes the prefix filter (nil = all).
-func matches(name string, prefixes []string) bool {
-	if len(prefixes) == 0 {
-		return true
-	}
-	for _, p := range prefixes {
-		if strings.HasPrefix(name, p) {
-			return true
-		}
-	}
-	return false
-}
-
-func compare(r io.Reader, path string, prefixes []string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("reading baseline: %w (run `make bench-baseline` to create it)", err)
-	}
-	base := map[string]result{}
-	if err := json.Unmarshal(buf, &base); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	fresh, err := parse(r)
-	if err != nil {
-		return err
-	}
-
-	names := make([]string, 0, len(base))
+// compare prints the median table of every benchmark in base or head to
+// out and returns one line per regressed metric. It fails when the two
+// sides share no benchmark.
+func compare(base, head map[string]*samples, out io.Writer) ([]string, error) {
+	var names []string
 	for name := range base {
-		if matches(name, prefixes) {
+		names = append(names, name)
+	}
+	for name := range head {
+		if base[name] == nil {
 			names = append(names, name)
 		}
 	}
-	sort.Strings(names)
-	if len(prefixes) > 0 && len(names) == 0 {
-		return fmt.Errorf("no baseline benchmark matches -prefix %s (re-record the baseline?)",
-			strings.Join(prefixes, ","))
-	}
+	slices.Sort(names)
 
+	fmt.Fprintf(out, "%-36s %12s %12s %8s %10s %10s %8s\n",
+		"benchmark (medians)", "base ns/op", "head ns/op", "gap", "base alloc", "head alloc", "gap")
 	var regressions []string
-	regressedNames := map[string]bool{}
-	compared := 0
+	shared := 0
 	for _, name := range names {
-		b := base[name]
-		f, ok := fresh[name]
-		if !ok {
-			fmt.Printf("benchdiff: %s only in baseline (removed?)\n", name)
+		b, h := base[name], head[name]
+		if b == nil || h == nil {
+			side := "base"
+			if b == nil {
+				side = "head"
+			}
+			fmt.Fprintf(out, "%-36s only in %s, not compared\n", name, side)
 			continue
 		}
-		compared++
-		if regressed(b.NsPerOp, f.NsPerOp, nsFloor) {
-			regressedNames[name] = true
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: ns/op %.0f -> %.0f (%+.1f%%)", name, b.NsPerOp, f.NsPerOp,
-				100*(f.NsPerOp-b.NsPerOp)/b.NsPerOp))
+		shared++
+		bn, hn := median(b.ns), median(h.ns)
+		ba, ha := median(b.allocs), median(h.allocs)
+		allocGap := "n/a"
+		if ba >= 0 && ha >= 0 {
+			allocGap = gap(ba, ha)
 		}
-		if regressed(b.AllocsPerOp, f.AllocsPerOp, allocsFloor) {
-			regressedNames[name] = true
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: allocs/op %.0f -> %.0f (%+.1f%%)", name, b.AllocsPerOp, f.AllocsPerOp,
-				100*(f.AllocsPerOp-b.AllocsPerOp)/b.AllocsPerOp))
+		fmt.Fprintf(out, "%-36s %12.0f %12.0f %8s %10.0f %10.0f %8s\n", name, bn, hn, gap(bn, hn), ba, ha, allocGap)
+		if regressed(bn, hn, nsFloor) {
+			regressions = append(regressions, fmt.Sprintf("%s: ns/op %.0f -> %.0f (%s)", name, bn, hn, gap(bn, hn)))
 		}
-	}
-	for name := range fresh {
-		if _, ok := base[name]; !ok && matches(name, prefixes) {
-			fmt.Printf("benchdiff: %s not in baseline (new — re-record to track it)\n", name)
+		if ba >= 0 && ha >= 0 && regressed(ba, ha, allocsFloor) {
+			regressions = append(regressions, fmt.Sprintf("%s: allocs/op %.0f -> %.0f (%s)", name, ba, ha, allocGap))
 		}
 	}
-
-	if len(regressions) > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d regression(s) vs %s:\n", len(regressions), path)
-		for _, r := range regressions {
-			fmt.Fprintln(os.Stderr, "  "+r)
-		}
-		return fmt.Errorf("%d of %d benchmarks regressed >%.0f%%", len(regressedNames), compared, 100*relSlack)
+	if shared == 0 {
+		return nil, errors.New("base and head share no benchmark: nothing was compared")
 	}
-	fmt.Printf("benchdiff: %d benchmarks within %.0f%% of %s\n", compared, 100*relSlack, path)
-	return nil
+	fmt.Fprintf(out, "benchdiff: %d benchmark(s) compared, %d regressed metric(s)\n", shared, len(regressions))
+	return regressions, nil
 }
