@@ -95,14 +95,17 @@ benchdiff-engine:
 # histogram percentiles against the expanded sample and referenceSpreadAt,
 # the GOMAXPROCS-sharded Fig. 4/5 sweeps against the serial
 # referenceFigure4/referenceFigure5, the service's job-history list against
-# the old map-plus-slice eviction scan, and the whole des test suite pinned
-# to the reference queue via the build tag. Every kind's results must hash
-# to testdata/schedulers.golden (internal/experiment) on both queues: the
-# calendar queue in the first run, the reference heap under the tag. The
-# placement oracle also covers the fat-tree shapes where per-leaf seed
-# pricing has edge cases.
+# the old map-plus-slice eviction scan, clusterd's job-API responses
+# against testdata/views.golden (internal/service), the coordinator's
+# member-splicing relay against the decoding refRewriteView on every
+# golden response and the FuzzRelay corpus (internal/fleet), and the whole
+# des test suite pinned to the reference queue via the build tag. Every
+# kind's results must hash to testdata/schedulers.golden
+# (internal/experiment) on both queues: the calendar queue in the first
+# run, the reference heap under the tag. The placement oracle also covers
+# the fat-tree shapes where per-leaf seed pricing has edge cases.
 difftest:
-	$(GO) test -run 'Differential|Oracle|Fuzz|CondSignal|WorkerReuse' -v ./internal/des/... ./internal/experiment/ ./internal/sched/ ./internal/interconnect/ ./internal/simdvec/ ./internal/stats/ ./internal/bench/osu/ ./internal/service/
+	$(GO) test -run 'Differential|Oracle|Fuzz|CondSignal|WorkerReuse|ViewGoldens' -v ./internal/des/... ./internal/experiment/ ./internal/sched/ ./internal/interconnect/ ./internal/simdvec/ ./internal/stats/ ./internal/bench/osu/ ./internal/service/ ./internal/fleet/
 	$(GO) test -tags desrefqueue ./internal/des/...
 	$(GO) test -tags desrefqueue -run 'TestDifferentialSchedulers' -v ./internal/experiment/
 
@@ -160,9 +163,10 @@ fleettest:
 	$(GO) run ./scripts/acceptance fleet
 
 # Replication acceptance: three shards with -replicas 2 -ack-quorum 2,
-# >=1k jobs, then rm -rf of the busiest shard's whole data directory +
-# SIGKILL. The supervisor must promote the follower's replica and revive
-# the shard with zero lost jobs under their original fleet IDs.
+# then rm -rf of the busiest shard's whole data directory + SIGKILL while
+# jobs are still running. The supervisor must promote the follower's
+# replica and revive the shard with zero lost jobs under their original
+# fleet IDs, re-running the jobs the loss caught in flight.
 disktest:
 	$(GO) run ./scripts/acceptance disk
 

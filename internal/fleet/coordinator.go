@@ -414,18 +414,15 @@ func (c *Coordinator) relaySubmit(w http.ResponseWriter, resp *http.Response, sh
 	payload := buf.Bytes()
 	switch resp.StatusCode {
 	case http.StatusOK, http.StatusAccepted:
-		view, _, derr := rewriteView(payload, shardName)
-		if derr != nil {
-			c.observeSubmit(began, "error")
-			writeError(w, http.StatusBadGateway, "fleet: undecodable shard response: "+derr.Error())
-			return
-		}
+		outcome := "accepted"
 		if resp.StatusCode == http.StatusOK {
-			c.observeSubmit(began, "cached")
-		} else {
-			c.observeSubmit(began, "accepted")
+			outcome = "cached"
 		}
-		service.WriteJSON(w, resp.StatusCode, view)
+		if err := relayView(w, resp.StatusCode, payload, shardName, ""); err != nil {
+			outcome = "error"
+			writeError(w, http.StatusBadGateway, "fleet: undecodable shard response: "+err.Error())
+		}
+		c.observeSubmit(began, outcome)
 	case http.StatusTooManyRequests:
 		// The owning shard shed the submission. Relay its verdict — and
 		// crucially its Retry-After, which encodes the shard's own backoff
@@ -466,25 +463,6 @@ func splitFleetID(id string) (shard, localID string, ok bool) {
 	return shard, localID, true
 }
 
-// rewriteView decodes a shard JobView payload, rewrites its id onto the
-// fleet namespace, adds the shard and returns the view plus the original
-// local id. Every other member is kept as the shard encoded it: the
-// coordinator stays agnostic to JobView's field set, and a number never
-// rounds through float64.
-func rewriteView(payload []byte, shardName string) (map[string]json.RawMessage, string, error) {
-	var view map[string]json.RawMessage
-	if err := json.Unmarshal(payload, &view); err != nil {
-		return nil, "", fmt.Errorf("fleet: shard job view: %w", err)
-	}
-	localID := stringMember(view, "id")
-	if localID == "" {
-		return nil, "", errors.New("fleet: shard job view carries no id")
-	}
-	view["id"] = jsonString(fleetID(shardName, localID))
-	view["shard"] = jsonString(shardName)
-	return view, localID, nil
-}
-
 // stringMember returns the view's member name when it is a JSON string,
 // "" otherwise.
 func stringMember(view map[string]json.RawMessage, name string) string {
@@ -493,12 +471,6 @@ func stringMember(view map[string]json.RawMessage, name string) string {
 		return ""
 	}
 	return s
-}
-
-// jsonString encodes s as a JSON string member value.
-func jsonString(s string) json.RawMessage {
-	b, _ := json.Marshal(s) // a string always encodes
-	return b
 }
 
 // forward issues one proxied request to a shard.
@@ -586,15 +558,11 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	payload := buf.Bytes()
-	if resp.StatusCode == http.StatusOK {
-		if view, _, derr := rewriteView(payload, rt.shard); derr == nil {
-			// Handed-off jobs keep their original public ID.
-			view["id"] = jsonString(id)
-			service.WriteJSON(w, http.StatusOK, view)
-			return
-		}
+	// Handed-off jobs keep their original public ID. A view that does not
+	// splice is relayed as it came.
+	if resp.StatusCode != http.StatusOK || relayView(w, http.StatusOK, payload, rt.shard, id) != nil {
+		copyJSON(w, resp.StatusCode, payload)
 	}
-	copyJSON(w, resp.StatusCode, payload)
 }
 
 // handleList merges every live shard's job listing, IDs rewritten onto
@@ -629,8 +597,8 @@ func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		for _, v := range body.Jobs {
 			if localID := stringMember(v, "id"); localID != "" {
-				v["id"] = jsonString(fleetID(name, localID))
-				v["shard"] = jsonString(name)
+				v["id"] = appendQuoted(nil, fleetID(name, localID))
+				v["shard"] = appendQuoted(nil, name)
 			}
 			merged = append(merged, v)
 		}
@@ -823,12 +791,12 @@ func (c *Coordinator) reenqueue(ctx context.Context, deadShard string, u Unfinis
 		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
 			return fmt.Errorf("fleet: shard %s refused re-enqueued job %s: HTTP %d", owner, u.ID, resp.StatusCode)
 		}
-		_, localID, derr := rewriteView(payload, owner)
-		if derr != nil {
-			return derr
+		local, err := localID(payload)
+		if err != nil {
+			return err
 		}
 		c.mu.Lock()
-		c.routes[fleetID(deadShard, u.ID)] = route{shard: owner, localID: localID}
+		c.routes[fleetID(deadShard, u.ID)] = route{shard: owner, localID: local}
 		c.mu.Unlock()
 		c.rerouted.Inc()
 		return nil

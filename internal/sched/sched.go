@@ -121,7 +121,9 @@ func (s *Scheduler) allocateRandom(n int) []int {
 // Hop distances are small integers, so a seed's price is read off a
 // histogram of its distances to every free node, with no sort; only the
 // winning seed's selection is built. On a fat tree the histogram comes
-// from per-leaf free counts (leafCost) instead of a scan of every free node.
+// from per-leaf free counts (leafCost), on a torus from every free node's
+// coordinates, decoded once per placement (torusCost); only the winner's
+// distances are scanned with Hops.
 func (s *Scheduler) allocateTopology(n int) []int {
 	free := make([]int, 0, s.FreeNodes())
 	for i, b := range s.busy {
@@ -135,13 +137,14 @@ func (s *Scheduler) allocateTopology(n int) []int {
 	}
 	hops := make([]int, len(free))
 	counts := make([]int, s.topo.Diameter()+1)
-	price := func(seed int) int {
-		s.distances(seed, free, hops, counts)
-		cost, _, _ := nearest(counts, n)
-		return cost
-	}
-	if ft, ok := s.topo.(*topology.FatTree); ok {
-		price = leafCost(ft, free, n)
+	var price func(seed int) int
+	switch t := s.topo.(type) {
+	case *topology.FatTree:
+		price = leafCost(t, free, n)
+	case *topology.Torus:
+		price = torusCost(t, free, counts, n)
+	default:
+		panic(fmt.Sprintf("sched: no seed pricing for topology %s", t.Name()))
 	}
 	best, bestCost := -1, 0
 	for si := 0; si < len(free); si += seedStride {
@@ -167,6 +170,49 @@ func leafCost(ft *topology.FatTree, free []int, n int) func(seed int) int {
 	return func(seed int) int {
 		inLeaf := leafFree[ft.Leaf(seed)]
 		cost, _, _ := nearest([]int{1, 0, inLeaf - 1, 0, len(free) - inLeaf}, n)
+		return cost
+	}
+}
+
+// torusCost prices seeds on a torus, where a node's distance from the
+// seed is the sum over dimensions of its distance along each
+// (Torus.DimHops). Torus.Hops divides to peel two nodes' coordinates off
+// on every call; torusCost decodes each free node once per placement,
+// into one cell per dimension of a row that holds the seed's distance to
+// every coordinate of every dimension. The function it returns fills that
+// row for a seed, then sums each free node's cells into counts, as
+// distances does, with no division and no branch per node.
+func torusCost(t *topology.Torus, free, counts []int, n int) func(seed int) int {
+	dims := t.Dims()
+	start := make([]int, len(dims)+1) // dimension d's cells are row[start[d]:start[d+1]]
+	for d, size := range dims {
+		start[d+1] = start[d] + size
+	}
+	cells := make([]int, 0, len(free)*len(dims))
+	var c []int
+	for _, f := range free {
+		c = t.AppendCoords(c[:0], f)
+		for d, x := range c {
+			cells = append(cells, start[d]+x)
+		}
+	}
+	row := make([]int, start[len(dims)])
+	return func(seed int) int {
+		c = t.AppendCoords(c[:0], seed)
+		for d, x := range c {
+			for y := range dims[d] {
+				row[start[d]+y] = t.DimHops(d, x, y)
+			}
+		}
+		clear(counts)
+		for i := 0; i < len(cells); i += len(dims) {
+			h := 0
+			for _, cell := range cells[i : i+len(dims)] {
+				h += row[cell]
+			}
+			counts[h]++
+		}
+		cost, _, _ := nearest(counts, n)
 		return cost
 	}
 }

@@ -17,9 +17,14 @@ type resultCache struct {
 	items map[string]*list.Element
 }
 
+// cacheEntry is one cached result. It is immutable once stored, so a job
+// the entry serves keeps its key, result and bytes without a copy.
 type cacheEntry struct {
 	key string
 	res *Result
+	// view is res as WriteJSON writes it in a job view (memberJSON),
+	// built once when the entry is stored; nil when res does not encode.
+	view []byte
 }
 
 // newResultCache returns a cache holding at most capacity results; a
@@ -32,40 +37,42 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-// Get returns the cached result for key and the entry's own copy of the
-// key, refreshing its recency. A caller that keeps the key keeps that
-// copy, so the one it looked up with can be collected.
-func (c *resultCache) Get(key string) (*Result, string, bool) {
+// Get returns the entry cached under key, refreshing its recency. A
+// caller that keeps the entry's key keeps that copy, so the one it looked
+// up with can be collected.
+func (c *resultCache) Get(key string) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, "", false
+		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.res, e.key, true
+	return el.Value.(*cacheEntry), true
 }
 
-// Put stores a result under key, evicting the least recently used entry
-// when the cache is full.
-func (c *resultCache) Put(key string, res *Result) {
+// Put stores a result under key, encoding it once, and returns the new
+// entry; it evicts the least recently used entry when the cache is full.
+// With caching disabled it stores nothing and returns nil.
+func (c *resultCache) Put(key string, res *Result) *cacheEntry {
 	if c.cap <= 0 {
-		return
+		return nil
 	}
+	e := &cacheEntry{key: key, res: res, view: memberJSON(res)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).res = res
+		el.Value = e
 		c.ll.MoveToFront(el)
-		return
+		return e
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
+	c.items[key] = c.ll.PushFront(e)
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*cacheEntry).key)
 	}
+	return e
 }
 
 // Len returns the current entry count.

@@ -8,18 +8,18 @@ func TestCacheLRUEviction(t *testing.T) {
 
 	c.Put("a", ra)
 	c.Put("b", rb)
-	if _, _, ok := c.Get("a"); !ok { // refresh a; b becomes LRU
+	if _, ok := c.Get("a"); !ok { // refresh a; b becomes LRU
 		t.Fatal("a missing before eviction")
 	}
 	c.Put("c", rc)
 
-	if _, _, ok := c.Get("b"); ok {
+	if _, ok := c.Get("b"); ok {
 		t.Error("b survived eviction despite being least recently used")
 	}
-	if got, _, ok := c.Get("a"); !ok || got != ra {
+	if got, ok := c.Get("a"); !ok || got.res != ra {
 		t.Error("a evicted despite recent use")
 	}
-	if got, _, ok := c.Get("c"); !ok || got != rc {
+	if got, ok := c.Get("c"); !ok || got.res != rc {
 		t.Error("c missing right after insert")
 	}
 	if c.Len() != 2 {
@@ -34,15 +34,15 @@ func TestCacheUpdateInPlace(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len() = %d after double Put, want 1", c.Len())
 	}
-	if got, _, _ := c.Get("k"); got.Summary != "new" {
-		t.Errorf("Get returned %q, want the updated result", got.Summary)
+	if got, _ := c.Get("k"); got.res.Summary != "new" {
+		t.Errorf("Get returned %q, want the updated result", got.res.Summary)
 	}
 }
 
 func TestCacheDisabled(t *testing.T) {
 	c := newResultCache(0)
 	c.Put("k", &Result{})
-	if _, _, ok := c.Get("k"); ok {
+	if _, ok := c.Get("k"); ok {
 		t.Error("disabled cache returned a hit")
 	}
 	if c.Len() != 0 {

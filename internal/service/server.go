@@ -45,6 +45,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// JSONIndent is the indent of every JSON body clusterd and clusterfleet
+// write, one step per nesting level.
+const JSONIndent = "  "
+
 // jsonWriter is an indenting encoder with the buffer it encodes into,
 // pooled so a response reuses both instead of allocating them.
 type jsonWriter struct {
@@ -55,7 +59,7 @@ type jsonWriter struct {
 var jsonWriters = sync.Pool{New: func() any {
 	jw := &jsonWriter{}
 	jw.enc = json.NewEncoder(&jw.buf)
-	jw.enc.SetIndent("", "  ")
+	jw.enc.SetIndent("", JSONIndent)
 	return jw
 }}
 
@@ -64,12 +68,9 @@ var jsonWriters = sync.Pool{New: func() any {
 // collector rather than pinned.
 const MaxPooledBuffer = 64 << 10
 
-// WriteJSON answers with status code and v as indented JSON: the body
-// clusterd and clusterfleet send for every JSON response. An unencodable
-// v sends the status with an empty body.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
-	jw := jsonWriters.Get().(*jsonWriter)
-	_ = jw.enc.Encode(v) // on error nothing is buffered; the status still goes out
+// send writes the buffered body with status code and hands the writer
+// back to its pool.
+func (jw *jsonWriter) send(w http.ResponseWriter, code int) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_, _ = w.Write(jw.buf.Bytes())
@@ -77,6 +78,58 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 		jw.buf.Reset()
 		jsonWriters.Put(jw)
 	}
+}
+
+// WriteJSON answers with status code and v as indented JSON: the body
+// clusterd and clusterfleet send for every JSON response. An unencodable
+// v sends the status with an empty body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	jw := jsonWriters.Get().(*jsonWriter)
+	_ = jw.enc.Encode(v) // on error nothing is buffered; the status still goes out
+	jw.send(w, code)
+}
+
+// memberJSON encodes v as WriteJSON writes it as a member of the body's
+// top-level object, one level deep; nil when v does not encode.
+func memberJSON(v any) []byte {
+	b, err := json.MarshalIndent(v, JSONIndent, JSONIndent)
+	if err != nil {
+		return nil
+	}
+	return b
+}
+
+// The result member of a job view and the member after it, which every
+// view has. Inside a string a newline is escaped, so a newline followed by
+// one indent and a quote only starts a top-level member.
+var (
+	resultMember      = []byte("\n" + JSONIndent + `"result": `)
+	submittedAtMember = []byte("\n" + JSONIndent + `"submitted_at": `)
+)
+
+// writeView answers with a job view, as WriteJSON would. A view whose
+// result carries its stored bytes (JobView.resultJSON) has only its
+// header encoded; the bytes go in the result member's place, before
+// submitted_at.
+func writeView(w http.ResponseWriter, code int, v JobView) {
+	stored := v.resultJSON
+	if stored == nil {
+		WriteJSON(w, code, v)
+		return
+	}
+	v.Result = nil
+	jw := jsonWriters.Get().(*jsonWriter)
+	_ = jw.enc.Encode(v) // on error nothing is buffered, as in WriteJSON
+	if at := bytes.LastIndex(jw.buf.Bytes(), submittedAtMember); at >= 0 {
+		var tail [256]byte
+		rest := append(tail[:0], jw.buf.Bytes()[at:]...)
+		jw.buf.Truncate(at)
+		jw.buf.Write(resultMember)
+		jw.buf.Write(stored)
+		jw.buf.WriteByte(',')
+		jw.buf.Write(rest)
+	}
+	jw.send(w, code)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
@@ -103,7 +156,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if view.State == StateDone { // served from cache
 			code = http.StatusOK
 		}
-		WriteJSON(w, code, view)
+		writeView(w, code, view)
 	case errors.As(err, new(*ValidationError)):
 		writeError(w, http.StatusBadRequest, err.Error())
 	case errors.As(err, &overload):
@@ -136,7 +189,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	WriteJSON(w, http.StatusOK, view)
+	writeView(w, http.StatusOK, view)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -145,7 +198,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	WriteJSON(w, http.StatusOK, view)
+	writeView(w, http.StatusOK, view)
 }
 
 // handleMachines lists the machine presets jobs can target, with enough

@@ -417,3 +417,20 @@ func TestAllKindsRunEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestMissAnswersQueued submits many fresh specs to a service whose
+// runner returns at once: a worker can finish such a job before Submit
+// returns, but the answer must still be the queued 202, never a 200 that
+// reads as a cache hit. The queue is deep enough that nothing is shed.
+func TestMissAnswersQueued(t *testing.T) {
+	svc := New(Config{Workers: 2, QueueDepth: 1024, runner: func(context.Context, JobSpec) (*Result, error) { return &Result{}, nil }})
+	defer closeNow(t, svc)
+	srv := NewServer(svc)
+	for i := range 300 {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(fmt.Sprintf(`{"kind":"fpu","iters":%d}`, 1000+i))))
+		if rec.Code != http.StatusAccepted || !strings.Contains(rec.Body.String(), `"state": "queued"`) {
+			t.Fatalf("submission %d answered %d:\n%s", i, rec.Code, rec.Body.String())
+		}
+	}
+}

@@ -204,17 +204,21 @@ type Job struct {
 	// guarded by Service.mu.
 	prev, next *Job
 
-	mu         sync.Mutex
-	state      JobState
-	cached     bool
-	result     *Result
+	mu     sync.Mutex
+	state  JobState
+	result *Result
+	// resultJSON is result's bytes in the cache entry the job was served
+	// from or stored into (cacheEntry.view); nil for any other result.
+	resultJSON []byte
 	errMsg     string
-	attempts   int  // execution attempts consumed (0 for cache hits)
-	degraded   bool // failed with a fault error after exhausting retries
+	attempts   int // execution attempts consumed (0 for cache hits)
 	started    time.Time
 	finished   time.Time
 	cancelFn   context.CancelFunc // set while running
-	cancelWant bool               // cancel requested before the job started
+	// The flags sit together so Job stays within its allocation size class.
+	cached     bool
+	degraded   bool // failed with a fault error after exhausting retries
+	cancelWant bool // cancel requested before the job started
 }
 
 // deadline is the absolute per-job deadline the spec's DeadlineMS sets,
@@ -243,6 +247,10 @@ type JobView struct {
 	StartedAt       time.Time `json:"started_at,omitzero"`
 	FinishedAt      time.Time `json:"finished_at,omitzero"`
 	DurationSeconds float64   `json:"duration_seconds,omitempty"`
+
+	// resultJSON is Result as WriteJSON writes it in the view, when the
+	// job shares a cache entry's bytes (see writeView); nil otherwise.
+	resultJSON []byte
 }
 
 // View snapshots the job under its lock.
@@ -253,7 +261,7 @@ func (j *Job) View() JobView {
 		ID: j.ID, State: j.state, Spec: j.Spec, SpecHash: j.Key,
 		Cached: j.cached, Recovered: j.recovered,
 		Attempts: j.attempts, Degraded: j.degraded,
-		Error: j.errMsg, Result: j.result,
+		Error: j.errMsg, Result: j.result, resultJSON: j.resultJSON,
 		SubmittedAt: j.submitted, StartedAt: j.started, FinishedAt: j.finished,
 	}
 	if !j.started.IsZero() && !j.finished.IsZero() {
@@ -561,7 +569,9 @@ func (s *Service) replay(recs []journal.Record) []*Job {
 			}
 		}
 		if job.state == StateDone && job.result != nil && !job.cached {
-			s.cache.Put(job.Key, job.result)
+			if e := s.cache.Put(job.Key, job.result); e != nil {
+				job.resultJSON = e.view
+			}
 		}
 		s.registerLocked(job) // no concurrency yet: workers are not running
 		s.recovered.Inc()
@@ -606,8 +616,8 @@ func (s *Service) Workers() int { return s.cfg.Workers }
 func (s *Service) ShardName() string { return s.cfg.ShardName }
 
 // Submit validates, canonicalises and either answers spec from the result
-// cache or enqueues it. The returned view reflects the job's state at
-// return time: StateDone for cache hits, StateQueued otherwise.
+// cache or enqueues it. The returned view is the job as it was admitted:
+// StateDone for cache hits, StateQueued otherwise.
 //
 // Queue-bound submissions pass admission control first: saturation above
 // the shed threshold or an open circuit breaker (for fault-carrying
@@ -638,19 +648,19 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 		}
 	}
 
-	if res, cacheKey, ok := s.cache.Get(key); ok {
+	if e, ok := s.cache.Get(key); ok {
 		job := newJob()
-		job.Key = cacheKey // the entry's copy, so a retained hit holds no key of its own
+		job.Key = e.key // the entry's copy, so a retained hit holds no key of its own
 		job.state = StateDone
 		job.cached = true
-		job.result = res
+		job.result, job.resultJSON = e.res, e.view
 		job.started = now
 		job.finished = now
 		if s.jnl != nil {
 			//lint:allow lockorder acknowledged-before-durable is the bug this guards: the cache-hit ack must not race a crash, so the fsync stays inside the submission critical section by design
 			if err := s.journalAppend(
 				journal.Record{Type: journal.TypeSubmitted, JobID: job.ID, At: now, Spec: mustJSON(norm), Key: key},
-				journal.Record{Type: journal.TypeDone, JobID: job.ID, At: now, Cached: true, Result: mustJSON(res)},
+				journal.Record{Type: journal.TypeDone, JobID: job.ID, At: now, Cached: true, Result: job.resultRecord()},
 			); err != nil {
 				return JobView{}, err
 			}
@@ -711,10 +721,23 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 			return JobView{}, err
 		}
 	}
+	// The view is taken before the enqueue: a worker can finish a fast job
+	// before Submit returns, and a queued job must not read as a cache hit.
+	view := job.View()
 	//lint:allow lockorder non-blocking by construction: the capacity check above ran under the same s.mu hold and only workers (which never take s.mu first) drain the queue
 	s.queue <- job
 	s.registerLocked(job)
-	return job.View(), nil
+	return view, nil
+}
+
+// resultRecord is the result a done journal record carries: the cache
+// entry's bytes when the job has them, which the journal compacts to the
+// bytes mustJSON encodes, or else mustJSON's.
+func (j *Job) resultRecord() json.RawMessage {
+	if j.resultJSON != nil {
+		return j.resultJSON
+	}
+	return mustJSON(j.result)
 }
 
 // mustJSON marshals values that are JSON round-trip safe by construction
@@ -963,6 +986,10 @@ func (s *Service) execute(job *Job) {
 	}
 
 	now := s.cfg.clock()
+	var stored *cacheEntry
+	if out.err == nil {
+		stored = s.cache.Put(job.Key, out.res) // encodes the result, so outside job.mu
+	}
 	job.mu.Lock()
 	job.finished = now
 	job.cancelFn = nil
@@ -972,7 +999,9 @@ func (s *Service) execute(job *Job) {
 	case out.err == nil:
 		job.state = StateDone
 		job.result = out.res
-		s.cache.Put(job.Key, out.res)
+		if stored != nil {
+			job.resultJSON = stored.view
+		}
 		s.completed.Inc()
 		s.durations.With(job.Spec.Kind).Observe(elapsed.Seconds())
 		if out.res.Energy != nil {
@@ -1014,7 +1043,7 @@ func (s *Service) execute(job *Job) {
 		switch job.state {
 		case StateDone:
 			rec.Type = journal.TypeDone
-			rec.Result = mustJSON(job.result)
+			rec.Result = job.resultRecord()
 		case StateCancelled:
 			rec.Type = journal.TypeCancelled
 		default:

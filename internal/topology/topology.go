@@ -97,14 +97,19 @@ func (t *Torus) Dims() []int { return append([]int(nil), t.dims...) }
 
 // Coords returns the coordinates of node i (row-major, first dimension
 // slowest). It panics on an out-of-range index.
-func (t *Torus) Coords(i int) []int {
+func (t *Torus) Coords(i int) []int { return t.AppendCoords(nil, i) }
+
+// AppendCoords appends the coordinates of node i, as Coords returns them,
+// to dst. It panics on an out-of-range index.
+func (t *Torus) AppendCoords(dst []int, i int) []int {
 	t.checkNode(i)
-	c := make([]int, len(t.dims))
+	n := len(dst)
+	dst = append(dst, make([]int, len(t.dims))...)
 	for d := len(t.dims) - 1; d >= 0; d-- {
-		c[d] = i % t.dims[d]
+		dst[n+d] = i % t.dims[d]
 		i /= t.dims[d]
 	}
-	return c
+	return dst
 }
 
 // Index is the inverse of Coords.
@@ -139,19 +144,30 @@ func (t *Torus) Hops(a, b int) int {
 	h := 0
 	for d := len(t.dims) - 1; d >= 0; d-- {
 		size := t.dims[d]
-		diff := a%size - b%size
+		h += ringHops(a%size-b%size, size, t.wrap[d])
 		a, b = a/size, b/size
-		if diff < 0 {
-			diff = -diff
-		}
-		if t.wrap[d] {
-			if alt := size - diff; alt < diff {
-				diff = alt
-			}
-		}
-		h += diff
 	}
 	return h
+}
+
+// DimHops returns the links a minimal route takes along dimension d
+// between coordinates a and b; Hops is its sum over the dimensions of two
+// nodes' coordinates. It panics on an out-of-range dimension.
+func (t *Torus) DimHops(d, a, b int) int { return ringHops(a-b, t.dims[d], t.wrap[d]) }
+
+// ringHops is the minimal number of links between coordinates diff apart
+// along a dimension of size coordinates, a ring when wrap is set and a
+// line otherwise.
+func ringHops(diff, size int, wrap bool) int {
+	if diff < 0 {
+		diff = -diff
+	}
+	if wrap {
+		if alt := size - diff; alt < diff {
+			diff = alt
+		}
+	}
+	return diff
 }
 
 // Diameter implements Topology.

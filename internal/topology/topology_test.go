@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -301,6 +302,33 @@ func TestHopsMatchesCoords(t *testing.T) {
 		}
 		if got, want := fugaku.Hops(a, b), coordsHops(fugaku, a, b); got != want {
 			t.Fatalf("Fugaku Hops(%d, %d) = %d, Coords reference %d", a, b, got, want)
+		}
+	}
+}
+
+// TestDimHopsSumToHops requires the per-dimension distances placement
+// prices torus seeds with to add up to Hops over AppendCoords' decoding,
+// on every CTE-Arm pair, with AppendCoords matching Coords.
+func TestDimHopsSumToHops(t *testing.T) {
+	cte, err := NewTofuD(192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ca, cb []int
+	for a := range cte.Nodes() {
+		ca = cte.AppendCoords(ca[:0], a)
+		if !slices.Equal(ca, cte.Coords(a)) {
+			t.Fatalf("AppendCoords(%d) = %v, Coords %v", a, ca, cte.Coords(a))
+		}
+		for b := range cte.Nodes() {
+			cb = cte.AppendCoords(cb[:0], b)
+			sum := 0
+			for d := range ca {
+				sum += cte.DimHops(d, ca[d], cb[d])
+			}
+			if want := cte.Hops(a, b); sum != want {
+				t.Fatalf("DimHops of %d and %d sum to %d, Hops %d", a, b, sum, want)
+			}
 		}
 	}
 }

@@ -55,10 +55,10 @@ func netSpec(size, iters, dst int) string {
 	return fmt.Sprintf(`{"kind":"net","size_bytes":%d,"iters":%d,"src_node":0,"dst_node":%d}`, size, iters, dst)
 }
 
-// midFlightIters sizes the crash and fleet rows' net jobs at roughly
-// 0.1 s each, so the workload is still queued or running when the fault
-// lands after the first few terminal jobs, and recovery must re-run the
-// victims rather than only rehydrate finished jobs.
+// midFlightIters sizes the crash, fleet and disk rows' net jobs at
+// roughly 0.1 s each, so the workload is still queued or running when the
+// fault lands after the first few terminal jobs, and recovery must re-run
+// the victims rather than only rehydrate finished jobs.
 const midFlightIters = 30000
 
 var (
@@ -91,16 +91,18 @@ var scenarios = []scenario{
 	fleetRow("fleet", false, 60),
 	fleetRow("fleet-race", true, 20),
 	{
+		// Three shards run six workers, so jobs are sized as in the
+		// fleet row.
 		name: "disk", run: disk,
 		daemon: []string{"clusterfleet", "-shards", "3", "-replicas", "2", "-ack-quorum", "2",
 			"-workers", "2", "-queue", "512", "-probe-interval", "100ms"},
-		jobs: 1000,
-		spec: func(i int) string { return netSpec(1024+64*i, 3, 1+i%31) },
+		jobs: 24,
+		spec: func(i int) string { return netSpec(1024+64*i, 3*midFlightIters, 1+i%31) },
 		// Only an acknowledged ID joins the set the durability promise
 		// covers, so a client-style retry of shed, quorum-miss and
 		// transport failures is part of the workload here.
-		attempts: 200, poll: 100 * time.Millisecond,
-		killAt: 300, before: 120 * time.Second, settle: 300 * time.Second,
+		attempts: 200, poll: 20 * time.Millisecond,
+		killAt: 4, before: 120 * time.Second, settle: 300 * time.Second,
 	},
 	{
 		// The SLO floors are loose on purpose: this gates correctness

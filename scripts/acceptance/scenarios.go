@@ -160,11 +160,12 @@ func fleet(h *harness, sc scenario) error {
 // disk destroys the busiest shard of a replicated fleet outright. The
 // supervisor must promote a follower's replica and revive the shard:
 // every acknowledged job done under its original fleet ID, a promotion
-// recorded, jobs recovered on the victim, health back to ok, and fresh
+// recorded, a job that was in flight at the loss re-run from the promoted
+// journal, jobs recovered on the victim, health back to ok, and fresh
 // work completing.
 func disk(h *harness, sc scenario) error {
 	var victim string
-	d, ids, _, err := h.survive(sc, "the disk loss", func(d *daemon, ids []string) (*daemon, error) {
+	d, ids, faultAt, err := h.survive(sc, "the disk loss", func(d *daemon, ids []string) (*daemon, error) {
 		var err error
 		victim, err = h.killShard(sc, d.url, ids, true)
 		return d, err
@@ -181,6 +182,9 @@ func disk(h *harness, sc scenario) error {
 	}
 	if topo.Promotions < 1 {
 		return fmt.Errorf("fleet reports %d promotions; the victim came back without its replica", topo.Promotions)
+	}
+	if err := requireRerun(sc, d.url, ids, faultAt, "the disk loss"); err != nil {
+		return err
 	}
 	if err := h.waitHealth(d.url, 3, false, 60*time.Second, 50*time.Millisecond); err != nil {
 		return fmt.Errorf("victim never revived: %w", err)
