@@ -76,11 +76,13 @@ cover:
 	./scripts/cover_floor.sh
 
 # Engine benchmark gate (scripts/benchdiff_engine.sh): the DES and MPISim
-# engine benchmarks (BenchmarkDES_*, BenchmarkMPISim_*) of BASE and of the
-# working tree, built from a temporary git worktree and run on this
-# machine in 5 alternating rounds. Fails when a median ns/op or allocs/op
-# regresses by more than 10% plus its absolute floor: an engine
-# regression slows every experiment, so CI fails on it.
+# engine benchmarks (BenchmarkDES_*, BenchmarkMPISim_*) and the paper's
+# Fig. 4/5 pair sweeps (BenchmarkFigure4, BenchmarkFigure5 in
+# internal/bench/osu) of BASE and of the working tree, built from a
+# temporary git worktree and run on this machine in 5 alternating rounds.
+# Fails when a median ns/op or allocs/op regresses by more than 10% plus
+# its absolute floor: an engine regression slows every experiment, and
+# the two sweeps are most of a paper regeneration, so CI fails on either.
 BASE ?= HEAD^1
 benchdiff-engine:
 	BASE='$(BASE)' ./scripts/benchdiff_engine.sh
@@ -90,11 +92,15 @@ benchdiff-engine:
 # engine-level trace comparison, the calq fuzz seeds + oracle tests, the
 # experiment-level result comparison for every registered kind, the
 # topology-aware placement against its sort-based reference, message
-# pricing against the straight-line referenceMessageTime, the µKernel's
-# fixed-point exit against the full-length referenceExecute, Fig. 5's
-# histogram percentiles against the expanded sample and referenceSpreadAt,
-# the GOMAXPROCS-sharded Fig. 4/5 sweeps against the serial
-# referenceFigure4/referenceFigure5, the service's job-history list against
+# pricing against the straight-line referenceMessageTime, Fig. 5's
+# bound-and-bin path (interconnect.Route.SustainedBin, which draws jitter
+# only when it could move a bin) against the binned
+# referenceSustainedBandwidth, the µKernel's fixed-point exit against the
+# full-length referenceExecute, Fig. 5's histogram percentiles against the
+# expanded sample and referenceSpreadAt, the GOMAXPROCS-sharded Fig. 4/5
+# sweeps against the serial referenceFigure4/referenceFigure5 (Fig. 5 also
+# at the paper's own sweep at 90, 900 and 2,000 bins), the service's
+# job-history list against
 # the old map-plus-slice eviction scan, clusterd's job-API responses
 # against testdata/views.golden (internal/service), the coordinator's
 # member-splicing relay against the decoding refRewriteView on every

@@ -131,10 +131,11 @@ type Heatmap struct {
 // contiguous shards, sweeps each in a goroutine of its own and returns the
 // shards' results in sender order.
 //
-// A sharded sweep is exact, not merely close: SustainedBandwidth is a pure
-// function of a fabric nobody writes to (each trial's stream is
-// Mix64(key ^ trial); DegradedRecv and the fault model are only read), so
-// a pair's bandwidth does not depend on which goroutine prices it or when.
+// A sharded sweep is exact, not merely close: SustainedBandwidth, and
+// Route.SustainedBin, which bins it, are pure functions of a fabric nobody
+// writes to (each trial's stream is Mix64(key ^ trial); DegradedRecv and
+// the fault model are only read), so a pair's bandwidth does not depend on
+// which goroutine prices it or when.
 // Fig. 4 keeps each shard's rows in sender order, and Fig. 5 adds up
 // integer bin counts, whose sum does not depend on the order.
 func sweepSenders[T any](n int, sweep func(lo, hi int) T) []T {
@@ -264,21 +265,27 @@ func Figure5(f *interconnect.Fabric, minExp, maxExp, bins, iters int) (*Distribu
 	for exp := minExp; exp <= maxExp; exp++ {
 		d.Sizes = append(d.Sizes, units.Bytes(math.Pow(2, float64(exp))))
 	}
-	// Each shard bins its own senders into histograms of its own. Once all
-	// have finished, the first shard's histograms take the others' counts.
+	// Each shard bins its own senders into histograms of its own, pair by
+	// pair so each route is priced once for every size. Once all have
+	// finished, the first shard's histograms take the others' counts.
+	// Every histogram has the same domain, so one binning serves them all.
+	binning := newGBBins(stats.NewHistogram(d.LogLo, d.LogHi, bins))
 	n := f.Topo.Nodes()
 	shards := sweepSenders(n, func(lo, hi int) []*stats.Histogram {
 		hists := make([]*stats.Histogram, len(d.Sizes))
-		for i, size := range d.Sizes {
-			h := stats.NewHistogram(d.LogLo, d.LogHi, bins)
-			for s := lo; s < hi; s++ {
-				for r := 0; r < n; r++ {
-					if s != r {
-						h.Add(math.Log10(f.SustainedBandwidth(s, r, size, iters).GB()))
-					}
+		for i := range hists {
+			hists[i] = stats.NewHistogram(d.LogLo, d.LogHi, bins)
+		}
+		for s := lo; s < hi; s++ {
+			for r := 0; r < n; r++ {
+				if s == r {
+					continue
+				}
+				route := f.Route(s, r)
+				for i, size := range d.Sizes {
+					hists[i].Counts[route.SustainedBin(size, iters, binning)]++
 				}
 			}
-			hists[i] = h
 		}
 		return hists
 	})
@@ -291,6 +298,32 @@ func Figure5(f *interconnect.Fabric, minExp, maxExp, bins, iters int) (*Distribu
 		}
 	}
 	return d, nil
+}
+
+// gbBins bins bandwidths as Fig. 5's histograms do, by log10 of GB/s.
+// Settled reads a table of the bin edges in B/s instead, so it takes no
+// logarithm.
+type gbBins struct {
+	h     *stats.Histogram
+	edges stats.GuardedEdges
+}
+
+// gbGuard is the relative width of the band around each bin edge in which
+// gbBins settles nothing. The edge table (10^e GB/s in B/s) and Bin
+// (log10 of GB/s, then the histogram's arithmetic) round differently by a
+// few ulps, about 1e-15 relative on Fig. 5's domain; 1e-9 is about 10^6
+// ulps wide, and over 10^6 times narrower than a bin even at 2,000 bins.
+const gbGuard = 1e-9
+
+func newGBBins(h *stats.Histogram) *gbBins {
+	inv := func(x float64) float64 { return math.Pow(10, x) * units.Giga }
+	return &gbBins{h: h, edges: h.GuardedEdges(inv, gbGuard)}
+}
+
+func (b *gbBins) Bin(bw units.BytesPerSecond) int { return b.h.Bin(math.Log10(bw.GB())) }
+
+func (b *gbBins) Settled(lo, hi units.BytesPerSecond) (int, bool) {
+	return b.edges.Settled(float64(lo), float64(hi))
 }
 
 // BimodalSizes returns the message sizes whose bandwidth distribution has

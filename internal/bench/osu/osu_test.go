@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"clustereval/internal/faultsim"
 	"clustereval/internal/interconnect"
 	"clustereval/internal/machine"
 	"clustereval/internal/stats"
@@ -241,25 +242,29 @@ func referenceFigure4(f *interconnect.Fabric, size units.Bytes, iters int) [][]u
 }
 
 // referenceFigure5 is Figure5 as one serial loop: every size, every
-// ordered pair, binned into one histogram per size. It is the oracle of
-// TestFigureSweepsDifferential: keep it simple, do not optimise or shard
-// it.
-func referenceFigure5(f *interconnect.Fabric, minExp, maxExp, bins, iters int) []*stats.Histogram {
+// ordered pair, binned into one histogram per size for each of the bin
+// counts given, so one pass serves several. It is the oracle of
+// TestFigureSweepsDifferential and TestFigure5PaperSweepDifferential:
+// keep it simple, do not optimise or shard it.
+func referenceFigure5(f *interconnect.Fabric, minExp, maxExp, iters int, binCounts ...int) [][]*stats.Histogram {
 	n := f.Topo.Nodes()
-	var hists []*stats.Histogram
+	hists := make([][]*stats.Histogram, len(binCounts))
 	for exp := minExp; exp <= maxExp; exp++ {
 		size := units.Bytes(math.Pow(2, float64(exp)))
-		h := stats.NewHistogram(-4, 1.2, bins)
+		for k, bins := range binCounts {
+			hists[k] = append(hists[k], stats.NewHistogram(-4, 1.2, bins))
+		}
 		for s := 0; s < n; s++ {
 			for r := 0; r < n; r++ {
 				if s == r {
 					continue
 				}
 				bw := f.SustainedBandwidth(s, r, size, iters)
-				h.Add(math.Log10(bw.GB()))
+				for k := range binCounts {
+					hists[k][len(hists[k])-1].Add(math.Log10(bw.GB()))
+				}
 			}
 		}
-		hists = append(hists, h)
 	}
 	return hists
 }
@@ -296,7 +301,7 @@ func TestFigureSweepsDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			want4 := referenceFigure4(f, 256, DefaultIterations)
-			want5 := referenceFigure5(f, minExp, maxExp, bins, iters5)
+			want5 := referenceFigure5(f, minExp, maxExp, iters5, bins)[0]
 			for _, procs := range []int{1, 2, 3, 5, 16} {
 				name := fmt.Sprintf("%s/seed%d/procs%d", fc.name, seed, procs)
 				h, d := sweepAt(t, procs, f, minExp, maxExp, bins, iters5)
@@ -321,6 +326,73 @@ func TestFigureSweepsDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFigure5PaperSweepDifferential requires Figure5 at the paper's own
+// sweep (192 CTE-Arm nodes, 2^0..2^24 B, 4 trials) to reproduce every bin
+// count of referenceFigure5 at 90, 900 and 2,000 bins: at noise seeds 0
+// (the built-in one), 7 and 2031 at GOMAXPROCS 2, and with
+// TestTransferPricingDifferential's three link faults at GOMAXPROCS 1 and
+// 3. At 90 bins about half the cells are binned before any draw, a sixth
+// after the persistent draw alone and a third drawn in full; at 900 bins
+// no cell is binned before a draw, and at 2,000 every cell is drawn in
+// full.
+func TestFigure5PaperSweepDifferential(t *testing.T) {
+	const minExp, maxExp, iters = 0, 24, 4
+	faulted := machine.CTEArm()
+	fm, err := (&faultsim.Spec{Links: []faultsim.LinkFault{
+		{Src: 0, Dst: 23, BandwidthFactor: 0.3},
+		{Src: 1, Dst: 2, ExtraLatencySeconds: 2e-6},
+		{Src: 23, Dst: 5, BandwidthFactor: 0.5, ExtraLatencySeconds: 1e-6},
+	}}).Compile(192, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted.Faults = fm
+	cases := []struct {
+		name  string
+		m     machine.Machine
+		procs []int
+	}{
+		{"seed0", machine.CTEArm(), []int{2}},
+		{"seed7", machine.CTEArm(), []int{2}},
+		{"seed2031", machine.CTEArm(), []int{2}},
+		{"link-faults", faulted, []int{1, 3}},
+	}
+	cases[1].m.Network.Seed = 7
+	cases[2].m.Network.Seed = 2031
+	for _, c := range cases {
+		f, err := interconnect.NewTofuD(c.m, 192)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binCounts := []int{90, 900, 2000}
+		wants := referenceFigure5(f, minExp, maxExp, iters, binCounts...)
+		for k, bins := range binCounts {
+			want := wants[k]
+			for _, procs := range c.procs {
+				name := fmt.Sprintf("%s/bins%d/procs%d", c.name, bins, procs)
+				d := figure5At(t, procs, f, minExp, maxExp, bins, iters)
+				for i, h := range want {
+					if !slices.Equal(d.Hist[i].Counts, h.Counts) {
+						t.Fatalf("%s: counts at %v differ\n got %v\nwant %v", name, d.Sizes[i], d.Hist[i].Counts, h.Counts)
+					}
+				}
+			}
+		}
+	}
+}
+
+// figure5At runs Figure5 with GOMAXPROCS set to procs, and restores
+// GOMAXPROCS before returning.
+func figure5At(t *testing.T, procs int, f *interconnect.Fabric, minExp, maxExp, bins, iters int) *Distribution {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	d, err := Figure5(f, minExp, maxExp, bins, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // sweepAt runs Figure4 (256 B, the paper's trials) and Figure5 with

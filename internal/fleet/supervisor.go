@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -227,6 +228,11 @@ func (s *Supervisor) runChildOnce(ctx context.Context, shard Shard) error {
 	cmd := exec.CommandContext(ctx, s.cfg.Bin, args...)
 	cmd.Cancel = func() error { return cmd.Process.Signal(syscall.SIGTERM) }
 	cmd.WaitDelay = childDrainWait
+	// The parent-death signal fires when the starting thread exits, so
+	// this goroutine keeps its thread from Start until Wait returns.
+	dieWithParent(cmd)
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return fmt.Errorf("stdout pipe: %w", err)

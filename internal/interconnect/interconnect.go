@@ -224,19 +224,51 @@ func (f *Fabric) MessageTime(src, dst int, size units.Bytes, trial uint64) units
 	return tr.time(trial)
 }
 
-// transfer is one (src, dst, size) message with everything that stays the
-// same from trial to trial worked out once: route latency, bandwidth after
-// link faults, receiver degradation and the persistent contention jitter.
-type transfer struct {
-	f    *Fabric
-	size units.Bytes
+// Route is what every transfer from one node to another shares,
+// whatever its size: route latency, bandwidth after link faults, the
+// receiver's degradation and the pair's noise key. A sweep over message
+// sizes prices it once per pair (Fabric.Route).
+type Route struct {
+	f *Fabric
 	// self marks src == dst, whose time is lat alone: intra-node latency
 	// plus transfer, with no protocol switch and no noise.
 	self bool
 	lat  units.Seconds // Latency(src, dst), injected link latency included
 	bw   float64       // link peak after injected link degradation
 	// recv is the receiver's degradation factor, 0 for a healthy receiver.
-	recv       float64
+	recv    float64
+	pairKey uint64 // MixN(Seed, src, dst); a transfer folds its size onto it
+}
+
+// Route prices what every transfer from src to dst shares.
+func (f *Fabric) Route(src, dst int) Route {
+	var r Route
+	f.route(&r, src, dst)
+	return r
+}
+
+// route fills r rather than returning a Route, as price fills a transfer.
+func (f *Fabric) route(r *Route, src, dst int) {
+	if src == dst {
+		*r = Route{f: f, self: true}
+		return
+	}
+	*r = Route{f: f, lat: f.Latency(src, dst), bw: float64(f.Net.LinkPeak),
+		pairKey: xrand.MixN(f.Seed, uint64(src), uint64(dst))}
+	if le, ok := f.Faults.Link(src, dst); ok && le.BandwidthFactor > 0 {
+		r.bw *= le.BandwidthFactor
+	}
+	if fac, ok := f.DegradedRecv[dst]; ok && fac > 0 {
+		r.recv = fac
+	}
+}
+
+// transfer is one (src, dst, size) message with everything that stays the
+// same from trial to trial worked out once: its route, its noise amplitude
+// and key, and the persistent contention jitter.
+type transfer struct {
+	Route
+	size       units.Bytes
 	eps        float64 // noiseAmplitude(size)
 	key        uint64  // MixN(Seed, src, dst, size); trial streams fold onto it
 	persistent float64 // per-(pair, size) share of the contention jitter
@@ -247,31 +279,50 @@ type transfer struct {
 // measurably slowed MessageTime, the per-message path of every mpisim
 // send. Negative sizes panic.
 func (f *Fabric) price(tr *transfer, src, dst int, size units.Bytes) {
+	f.route(&tr.Route, src, dst)
+	tr.sized(size)
+	tr.drawPersistent()
+}
+
+// sized works out the part of tr that depends on its size, given its
+// route, all but the persistent jitter. Negative sizes panic.
+func (tr *transfer) sized(size units.Bytes) {
 	if size < 0 {
 		panic(fmt.Sprintf("interconnect: negative message size %v", float64(size)))
 	}
-	if src == dst {
-		*tr = transfer{self: true, lat: f.IntraNodeLatency + units.TimeFor(size, f.IntraNodeBW)}
+	tr.size = size
+	f := tr.f
+	if tr.self {
+		tr.lat = f.IntraNodeLatency + units.TimeFor(size, f.IntraNodeBW)
 		return
 	}
-	*tr = transfer{f: f, size: size, lat: f.Latency(src, dst), bw: float64(f.Net.LinkPeak)}
-	if le, ok := f.Faults.Link(src, dst); ok && le.BandwidthFactor > 0 {
-		tr.bw *= le.BandwidthFactor
-	}
-	if fac, ok := f.DegradedRecv[dst]; ok && fac > 0 {
-		tr.recv = fac
-	}
-
-	// Contention jitter grows with size and only ever slows a message.
-	// Most of it is *persistent* per (pair, size): a congested route stays
-	// congested for the whole measurement loop, so repeating the transfer
-	// does not average it away (this is what keeps the >1 MB region of
-	// Fig. 5 wide). A smaller transient component varies per trial.
+	// MixN folds left, so this is MixN(Seed, src, dst, size).
+	tr.key = xrand.Mix64(tr.pairKey ^ uint64(size))
 	tr.eps = f.noiseAmplitude(size)
-	tr.key = xrand.MixN(f.Seed, uint64(src), uint64(dst), uint64(size))
-	persistent := xrand.New(tr.key ^ 0xc0de)
-	tr.persistent = persistent.SlowJitter(0.7 * tr.eps)
 }
+
+// drawPersistent draws the transfer's persistent share of the contention
+// jitter. Contention jitter grows with size and only ever slows a
+// message. Most of it is *persistent* per (pair, size): a congested route
+// stays congested for the whole measurement loop, so repeating the
+// transfer does not average it away (this is what keeps the >1 MB region
+// of Fig. 5 wide). A smaller transient component varies per trial.
+func (tr *transfer) drawPersistent() {
+	if tr.self {
+		return
+	}
+	persistent := xrand.New(tr.key ^ 0xc0de)
+	tr.persistent = persistent.SlowJitter(persistentShare * tr.eps)
+}
+
+// lottery reports whether the transfer's size draws the buffer lottery.
+func (tr *transfer) lottery() bool {
+	return tr.size >= tr.f.MidSizeLow && tr.size <= tr.f.MidSizeHigh
+}
+
+// persistentShare and transientShare split a transfer's noise amplitude
+// between its persistent and its per-trial jitter factor.
+const persistentShare, transientShare = 0.7, 0.3
 
 // time returns the transfer's one-way time in the given trial.
 func (tr *transfer) time(trial uint64) units.Seconds {
@@ -286,7 +337,7 @@ func (tr *transfer) time(trial uint64) units.Seconds {
 	// MixN folds left, so this is MixN(Seed, src, dst, size, trial).
 	stream := xrand.Mix64(tr.key ^ trial)
 	extraLat := units.Seconds(0)
-	if size >= f.MidSizeLow && size <= f.MidSizeHigh {
+	if tr.lottery() {
 		if p := float64(stream%1000) / 1000.0; p < f.SlowPathProb {
 			bw *= f.SlowPathFactor
 			extraLat = lat
@@ -307,8 +358,13 @@ func (tr *transfer) time(trial uint64) units.Seconds {
 		t = t / units.Seconds(tr.recv)
 	}
 
+	// SlowJitter(0) is exactly 1, and so is the persistent factor drawn at
+	// amplitude 0: a noiseless transfer takes t, and draws nothing.
+	if tr.eps == 0 {
+		return t
+	}
 	transient := xrand.New(stream ^ 0xfeed)
-	j := tr.persistent * transient.SlowJitter(0.3*tr.eps)
+	j := tr.persistent * transient.SlowJitter(transientShare*tr.eps)
 	return t * units.Seconds(j)
 }
 
@@ -347,9 +403,91 @@ func (f *Fabric) SustainedBandwidth(src, dst int, size units.Bytes, n int) units
 	}
 	var tr transfer
 	f.price(&tr, src, dst, size)
+	return tr.sustained(n)
+}
+
+// sustained returns the transfer's bandwidth over trials 0..n-1.
+func (tr *transfer) sustained(n int) units.BytesPerSecond {
 	var total units.Seconds
 	for i := 0; i < n; i++ {
 		total += tr.time(uint64(i))
 	}
-	return units.BytesPerSecond(float64(size) * float64(n) / float64(total))
+	return units.BytesPerSecond(float64(tr.size) * float64(n) / float64(total))
+}
+
+// A Binning sorts bandwidths into bins, as a histogram of an increasing
+// function of the bandwidth does.
+type Binning interface {
+	// Bin returns the bin of bw.
+	Bin(bw units.BytesPerSecond) int
+	// Settled returns the bin Bin gives every bandwidth from lo to hi, and
+	// false when it cannot be sure that one bin holds them all.
+	Settled(lo, hi units.BytesPerSecond) (bin int, ok bool)
+}
+
+// SustainedBin returns b.Bin(SustainedBandwidth(src, dst, size, n)) for
+// the route's src and dst, and draws the contention jitter only when it
+// could move that bin.
+//
+// For e >= 0, SlowJitter(e) lies in [1, xrand.SlowJitterMax(e)], so every
+// trial's jitter factor, the persistent factor P times a transient one T,
+// lies in [1, Pmax*Tmax], and in [P, P*Tmax] once P is drawn. bounds runs
+// sustained's arithmetic at both ends of that range, and IEEE rounding is
+// monotone in every operand, so the bandwidth lies between the two
+// results. When Settled puts both in one bin before any draw, or after the
+// persistent draw alone, that bin is the answer; otherwise every transient
+// factor is drawn and the bandwidth binned as SustainedBandwidth computes
+// it. Negative sizes and n <= 0 panic.
+func (r *Route) SustainedBin(size units.Bytes, n int, b Binning) int {
+	if n <= 0 {
+		panic("interconnect: need at least one iteration")
+	}
+	tr := transfer{Route: *r}
+	tr.sized(size)
+	if tr.self || !(tr.eps >= 0) {
+		tr.drawPersistent()
+		return b.Bin(tr.sustained(n))
+	}
+
+	// Every trial's jitter-free time, as a noiseless copy times it.
+	// Outside the buffer lottery's sizes every trial takes the same time.
+	// The buffer holds the paper's trial counts (4 and 16) on the stack.
+	var buf [16]units.Seconds
+	ts := buf[:0]
+	if n > len(buf) {
+		ts = make([]units.Seconds, 0, n)
+	}
+	quiet := tr
+	quiet.eps = 0
+	for i := range n {
+		if i > 0 && !tr.lottery() {
+			ts = append(ts, ts[0])
+		} else {
+			ts = append(ts, quiet.time(uint64(i)))
+		}
+	}
+
+	tMax := xrand.SlowJitterMax(transientShare * tr.eps)
+	if bin, ok := b.Settled(tr.bounds(ts, 1, xrand.SlowJitterMax(persistentShare*tr.eps)*tMax)); ok {
+		return bin
+	}
+	tr.drawPersistent()
+	if bin, ok := b.Settled(tr.bounds(ts, tr.persistent, tr.persistent*tMax)); ok {
+		return bin
+	}
+	return b.Bin(tr.sustained(n))
+}
+
+// bounds returns the least and the greatest bandwidth sustained can
+// return over the trials whose jitter-free times are ts when every
+// trial's jitter factor lies in [jLo, jHi]: it runs sustained's
+// operations in sustained's order at both ends.
+func (tr *transfer) bounds(ts []units.Seconds, jLo, jHi float64) (lo, hi units.BytesPerSecond) {
+	var fast, slow units.Seconds
+	for _, t := range ts {
+		fast += t * units.Seconds(jLo)
+		slow += t * units.Seconds(jHi)
+	}
+	bytes := float64(tr.size) * float64(len(ts))
+	return units.BytesPerSecond(bytes / float64(slow)), units.BytesPerSecond(bytes / float64(fast))
 }

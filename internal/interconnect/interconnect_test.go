@@ -8,6 +8,7 @@ import (
 
 	"clustereval/internal/faultsim"
 	"clustereval/internal/machine"
+	"clustereval/internal/stats"
 	"clustereval/internal/units"
 	"clustereval/internal/xrand"
 )
@@ -320,16 +321,17 @@ func TestOmniPathUniformity(t *testing.T) {
 }
 
 // TestMessagePricingAllocFree pins the per-message cost model to zero heap
-// allocations on both clusters' fabrics: latency, and MessageTime and
-// SustainedBandwidth in every protocol regime (eager, the 1 KiB–256 KiB
-// buffer lottery, rendezvous, >1 MiB contention), to a healthy node and to
-// the degraded receiver.
+// allocations on both clusters' fabrics: latency, and MessageTime,
+// SustainedBandwidth and Route.SustainedBin at Fig. 5's 90 bins in every
+// protocol regime (eager, the 1 KiB–256 KiB buffer lottery, rendezvous,
+// >1 MiB contention), to a healthy node and to the degraded receiver.
 func TestMessagePricingAllocFree(t *testing.T) {
 	sizes := []units.Bytes{
 		units.Bytes(8), units.Bytes(1 * units.KiB), units.Bytes(16 * units.KiB),
 		units.Bytes(64 * units.KiB), units.Bytes(256 * units.KiB),
 		units.Bytes(512 * units.KiB), units.Bytes(4 * units.MiB),
 	}
+	bins := newLogBins(90)
 	for name, f := range map[string]*Fabric{"cte-arm": tofu(t, 192), "mn4": opa(t, 3456)} {
 		for _, dst := range []int{23, 150} { // 23 is arms0b1-11c on CTE-Arm
 			if allocs := testing.AllocsPerRun(50, func() { f.Latency(0, dst) }); allocs != 0 {
@@ -341,6 +343,10 @@ func TestMessagePricingAllocFree(t *testing.T) {
 				}
 				if allocs := testing.AllocsPerRun(50, func() { f.SustainedBandwidth(0, dst, size, 16) }); allocs != 0 {
 					t.Errorf("%s SustainedBandwidth(0, %d, %v, 16) allocates %v times", name, dst, float64(size), allocs)
+				}
+				route := f.Route(0, dst)
+				if allocs := testing.AllocsPerRun(50, func() { route.SustainedBin(size, 16, bins) }); allocs != 0 {
+					t.Errorf("%s SustainedBin(0, %d, %v, 16) allocates %v times", name, dst, float64(size), allocs)
 				}
 			}
 		}
@@ -457,13 +463,34 @@ func referenceSustainedBandwidth(f *Fabric, src, dst int, size units.Bytes, n in
 	return units.BytesPerSecond(float64(size) * float64(n) / float64(total))
 }
 
+// logBins bins bandwidths by log10 of GB/s over Fig. 5's domain, as
+// osu.Figure5 does, and settles ranges from the guarded bin edges in B/s.
+type logBins struct {
+	h     *stats.Histogram
+	edges stats.GuardedEdges
+}
+
+func newLogBins(bins int) *logBins {
+	h := stats.NewHistogram(-4, 1.2, bins)
+	inv := func(x float64) float64 { return math.Pow(10, x) * units.Giga }
+	return &logBins{h: h, edges: h.GuardedEdges(inv, 1e-9)}
+}
+
+func (b *logBins) Bin(bw units.BytesPerSecond) int { return b.h.Bin(math.Log10(bw.GB())) }
+
+func (b *logBins) Settled(lo, hi units.BytesPerSecond) (int, bool) {
+	return b.edges.Settled(float64(lo), float64(hi))
+}
+
 // TestTransferPricingDifferential requires MessageTime and
 // SustainedBandwidth, which price each transfer once and then run its
-// trials, to match referenceMessageTime bit for bit: on the TofuD torus
-// (with the degraded receiver, node 23), the OmniPath and the Infiniband
-// fat trees; with no fault model and with links that lose bandwidth, gain
-// latency, or both; at both sides of every protocol boundary; and for
-// self-transfers.
+// trials, to match referenceMessageTime bit for bit, and Route.SustainedBin
+// to bin referenceSustainedBandwidth as the binning does: on the TofuD
+// torus (with the degraded receiver, node 23), the OmniPath and the
+// Infiniband fat trees; with no fault model and with links that lose
+// bandwidth, gain latency, or both; at both sides of every protocol and
+// noise boundary; for self-transfers; on a noiseless TofuD, where no
+// jitter is drawn; and at negative noise amplitudes.
 func TestTransferPricingDifferential(t *testing.T) {
 	links := []faultsim.LinkFault{
 		{Src: 0, Dst: 23, BandwidthFactor: 0.3},
@@ -495,6 +522,14 @@ func TestTransferPricingDifferential(t *testing.T) {
 			t.Run(name, func(t *testing.T) { checkTransferPricing(t, f) })
 		}
 	}
+	quiet := tofu(t, 192)
+	quiet.NoiseSmall, quiet.NoiseLarge = 0, 0
+	t.Run("cte-arm/noiseless", func(t *testing.T) { checkTransferPricing(t, quiet) })
+	// A negative amplitude makes SlowJitter speed transfers up, outside
+	// the range SustainedBin's bounds assume, so it must bin exactly.
+	negative := tofu(t, 192)
+	negative.NoiseSmall, negative.NoiseLarge = -0.01, -0.2
+	t.Run("cte-arm/negative-noise", func(t *testing.T) { checkTransferPricing(t, negative) })
 }
 
 func checkTransferPricing(t *testing.T, f *Fabric) {
@@ -503,10 +538,14 @@ func checkTransferPricing(t *testing.T, f *Fabric) {
 	sizes := []units.Bytes{0, 1,
 		f.MidSizeLow - 1, f.MidSizeLow, f.MidSizeLow + 1,
 		f.EagerThreshold - 1, f.EagerThreshold, f.EagerThreshold + 1,
-		64 * kib,
+		64 * kib, 64*kib + 1,
 		f.MidSizeHigh - 1, f.MidSizeHigh, f.MidSizeHigh + 1,
-		units.Bytes(units.MiB), units.Bytes(16 * units.MiB),
+		units.Bytes(units.MiB) - 1, units.Bytes(units.MiB), units.Bytes(16 * units.MiB),
 	}
+	// At 90 bins a transfer is binned before any draw, after the
+	// persistent draw alone or drawn in full; at 900 none is binned before
+	// a draw, and at 2,000 every one is drawn in full.
+	binnings := []*logBins{newLogBins(90), newLogBins(900), newLogBins(2000)}
 	nodes := []int{0, 1, 2, 5, 23, n / 2, n - 1} // every fault endpoint, 23 as sender and receiver
 	for _, size := range sizes {
 		for _, src := range nodes {
@@ -525,6 +564,32 @@ func checkTransferPricing(t *testing.T, f *Fabric) {
 							src, dst, float64(size), trials, float64(got), float64(want))
 					}
 				}
+				// 17 trials outgrow SustainedBin's buffer of trial times.
+				checkSustainedBin(t, f, src, dst, size, []int{1, 2, 4, 16, 17}, binnings)
+			}
+		}
+		// Every receiver of each sender above, so that some bandwidths
+		// fall near a bin edge.
+		for _, src := range nodes {
+			for dst := range n {
+				checkSustainedBin(t, f, src, dst, size, []int{1, 4}, binnings)
+			}
+		}
+	}
+}
+
+// checkSustainedBin requires Route.SustainedBin from src to dst to return
+// the bin each binning gives referenceSustainedBandwidth, at each trial
+// count.
+func checkSustainedBin(t *testing.T, f *Fabric, src, dst int, size units.Bytes, trialCounts []int, binnings []*logBins) {
+	t.Helper()
+	route := f.Route(src, dst)
+	for _, trials := range trialCounts {
+		bw := referenceSustainedBandwidth(f, src, dst, size, trials)
+		for _, b := range binnings {
+			if got, want := route.SustainedBin(size, trials, b), b.Bin(bw); got != want {
+				t.Fatalf("SustainedBin(%d, %d, %v, %d) at %d bins = %d, reference %d (%v)",
+					src, dst, float64(size), trials, len(b.h.Counts), got, want, float64(bw))
 			}
 		}
 	}

@@ -122,11 +122,11 @@ func NewHistogram(lo, hi float64, nbins int) *Histogram {
 
 // Add records one observation.
 func (h *Histogram) Add(x float64) {
-	i := h.binOf(x)
-	h.Counts[i]++
+	h.Counts[h.Bin(x)]++
 }
 
-func (h *Histogram) binOf(x float64) int {
+// Bin returns the index of the bin Add counts x in.
+func (h *Histogram) Bin(x float64) int {
 	n := len(h.Counts)
 	i := int(float64(n) * (x - h.Lo) / (h.Hi - h.Lo))
 	if i < 0 {
@@ -136,6 +136,57 @@ func (h *Histogram) binOf(x float64) int {
 		return n - 1
 	}
 	return i
+}
+
+// GuardedEdges is an ascending table of a histogram's inner bin edges,
+// carried from the histogram's domain to the values its observations are
+// computed from, and each widened into a guard band. It decides the bin of
+// a value known only to lie in a range, without computing the observation.
+type GuardedEdges []float64
+
+// GuardedEdges maps each inner bin edge e of h (the n-1 edges between n
+// bins) to inv(e), where inv, which must return positive values, is the
+// inverse of the increasing function whose results h bins, and widens it
+// to the band [inv(e)(1-guard), inv(e)(1+guard)]. guard must exceed the
+// relative rounding error between inv and h's own arithmetic (the function
+// itself, then Bin), so a value outside every band lands in the bin the
+// table says. It panics unless every band is positive, non-empty and
+// apart from the next.
+func (h *Histogram) GuardedEdges(inv func(float64) float64, guard float64) GuardedEdges {
+	n := len(h.Counts)
+	g := make(GuardedEdges, 0, 2*(n-1))
+	for k := 1; k < n; k++ {
+		v := inv(h.Lo + (h.Hi-h.Lo)*float64(k)/float64(n))
+		lo, hi := v*(1-guard), v*(1+guard)
+		if !(0 < lo && lo < hi) || (len(g) > 0 && !(g[len(g)-1] < lo)) {
+			panic("stats: guard bands must be positive, non-empty and apart")
+		}
+		g = append(g, lo, hi)
+	}
+	return g
+}
+
+// Settled returns the bin of every value from lo to hi, and true, when the
+// range meets no guard band; otherwise it returns false.
+func (g GuardedEdges) Settled(lo, hi float64) (int, bool) {
+	if !(lo <= hi && hi <= math.MaxFloat64) { // NaN and +Inf are never settled
+		return 0, false
+	}
+	// i counts the band ends at or below lo: an even i = 2k puts lo above
+	// edge k's band, or below the first band when k is 0.
+	i, j := 0, len(g)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if g[m] <= lo {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	if i%2 == 1 || (i < len(g) && hi >= g[i]) {
+		return 0, false
+	}
+	return i / 2, true
 }
 
 // Total returns the number of recorded observations.

@@ -296,3 +296,55 @@ func TestHistogramPercentileAllocFree(t *testing.T) {
 		t.Errorf("Percentile allocates %v times", allocs)
 	}
 }
+
+// TestGuardedEdgesSettled pins Settled on three bins of log10 over [0, 3),
+// whose edges 1 and 2 map to 10 and 100 with 1% guard bands: a range
+// inside one bin is settled there, including the unbounded outer bins; a
+// range that meets a band or crosses an edge, NaN, +Inf and lo > hi are
+// not. Every settled value must also be where Bin puts its logarithm.
+func TestGuardedEdgesSettled(t *testing.T) {
+	h := NewHistogram(0, 3, 3)
+	g := h.GuardedEdges(func(x float64) float64 { return math.Pow(10, x) }, 0.01)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		lo, hi float64
+		bin    int
+		ok     bool
+	}{
+		{1e-300, 9.8, 0, true},
+		{10.2, 98, 1, true},
+		{102, 1e300, 2, true},
+		{9.8, 9.95, 0, false},
+		{10.05, 20, 0, false},
+		{20, 99.5, 0, false},
+		{5, 50, 0, false},
+		{5, 500, 0, false},
+		{nan, 5, 0, false},
+		{5, nan, 0, false},
+		{200, inf, 0, false},
+		{50, 40, 0, false},
+	} {
+		bin, ok := g.Settled(c.lo, c.hi)
+		if bin != c.bin || ok != c.ok {
+			t.Errorf("Settled(%v, %v) = %d, %v; want %d, %v", c.lo, c.hi, bin, ok, c.bin, c.ok)
+		}
+		if ok {
+			for _, v := range []float64{c.lo, c.hi} {
+				if b := h.Bin(math.Log10(v)); b != bin {
+					t.Errorf("Bin(log10(%v)) = %d, Settled says %d", v, b, bin)
+				}
+			}
+		}
+	}
+	one := NewHistogram(0, 3, 1).GuardedEdges(func(x float64) float64 { return math.Pow(10, x) }, 0.01)
+	if bin, ok := one.Settled(1e-9, 1e9); bin != 0 || !ok {
+		t.Errorf("one bin: Settled = %d, %v; want 0, true", bin, ok)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("guard bands that meet were accepted")
+		}
+	}()
+	// Edges 10^0.1 apart, about 26%, with 20% bands either side.
+	NewHistogram(0, 1, 10).GuardedEdges(func(x float64) float64 { return math.Pow(10, x) }, 0.2)
+}

@@ -141,11 +141,15 @@ func (r *Rand) SlowJitter(eps float64) float64 {
 		n = -n
 	}
 	j := 1 + eps*n
-	if hi := 1 + 3*eps; j > hi {
+	if hi := SlowJitterMax(eps); j > hi {
 		return hi
 	}
 	return j
 }
+
+// SlowJitterMax returns the clamp SlowJitter(eps) never exceeds, 1+3eps,
+// rounded as SlowJitter rounds it.
+func SlowJitterMax(eps float64) float64 { return 1 + 3*eps }
 
 // Perm returns a random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {

@@ -115,21 +115,32 @@ func TestJitterClamped(t *testing.T) {
 	}
 }
 
+// TestSlowJitterOneSided requires SlowJitter(e) to lie in [1, 1+3e] with
+// no slack, 1+3e rounded at run time as SlowJitter rounds it, at 0.2 and
+// at every amplitude the TofuD fabric draws: its small-message noise of
+// 0.01 and large-message noise of 0.5, each split 0.7/0.3 between the
+// persistent and the transient factor, and no noise. interconnect's Fig. 5
+// bounds rely on this clamp.
 func TestSlowJitterOneSided(t *testing.T) {
-	r := New(23)
-	const eps = 0.2
-	sum := 0.0
-	for i := 0; i < 100000; i++ {
-		j := r.SlowJitter(eps)
-		if j < 1 || j > 1+3*eps+1e-12 {
-			t.Fatalf("SlowJitter out of [1, 1+3eps]: %v", j)
+	for _, eps := range []float64{0.2, 0, 0.003, 0.007, 0.15, 0.35} {
+		r := New(23)
+		hi := 1 + 3*eps
+		sum := 0.0
+		for i := 0; i < 100000; i++ {
+			j := r.SlowJitter(eps)
+			if j < 1 || j > hi {
+				t.Fatalf("SlowJitter(%v) = %v, outside [1, %v]", eps, j, hi)
+			}
+			sum += j
 		}
-		sum += j
-	}
-	// Mean of 1 + eps*|N| is 1 + eps*sqrt(2/pi) ~ 1.16.
-	mean := sum / 100000
-	if math.Abs(mean-(1+eps*math.Sqrt(2/math.Pi))) > 0.01 {
-		t.Errorf("SlowJitter mean = %v", mean)
+		if got := SlowJitterMax(eps); got != hi {
+			t.Errorf("SlowJitterMax(%v) = %v, want %v", eps, got, hi)
+		}
+		// Mean of 1 + eps*|N| is 1 + eps*sqrt(2/pi), about 1.16 at 0.2.
+		mean := sum / 100000
+		if math.Abs(mean-(1+eps*math.Sqrt(2/math.Pi))) > 0.05*eps {
+			t.Errorf("SlowJitter(%v) mean = %v", eps, mean)
+		}
 	}
 }
 

@@ -163,6 +163,58 @@ func (d *daemon) stop() error {
 	return nil
 }
 
+// killCoordinator SIGKILLs a fleet's coordinator alone, as an OOM kill
+// would, and requires every shard it ran to be gone within 5 s: a shard
+// left running would keep appending to a journal that a restarted fleet
+// hands to a new shard. A zombie counts as gone.
+func (h *harness) killCoordinator(sc scenario, d *daemon) error {
+	var topo topology
+	if err := getJSON(d.url+"/v1/fleet", &topo); err != nil {
+		return err
+	}
+	var pids []int
+	for _, s := range topo.Shards {
+		if s.PID != 0 {
+			pids = append(pids, s.PID)
+		}
+	}
+	if len(pids) == 0 {
+		return errors.New("the fleet reports no shard PID")
+	}
+	if err := d.cmd.Process.Kill(); err != nil {
+		return err
+	}
+	_ = d.cmd.Wait()
+	err := h.poll(5*time.Second, 20*time.Millisecond, func() error {
+		for _, pid := range pids {
+			if running(pid) {
+				return fmt.Errorf("shard PID %d still running 5s after its coordinator was SIGKILLed", pid)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		_ = killGroup(d.cmd) // the survivors are still in the coordinator's group
+		return err
+	}
+	logf(sc, "all %d shards died with their SIGKILLed coordinator", len(pids))
+	return nil
+}
+
+// running reports whether pid names a process that has not exited: one
+// whose /proc/<pid>/stat (Linux) exists and whose state is not Z (a
+// zombie).
+func running(pid int) bool {
+	stat, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
+	if err != nil {
+		return false
+	}
+	// The state follows the parenthesised command name, which may itself
+	// hold parentheses.
+	i := bytes.LastIndexByte(stat, ')')
+	return i < 0 || i+2 >= len(stat) || stat[i+2] != 'Z'
+}
+
 // jobView mirrors the fields of service.JobView the scenarios assert on.
 type jobView struct {
 	ID        string          `json:"id"`

@@ -107,7 +107,8 @@ func crash(h *harness, sc scenario) error {
 // the supervisor must restart it on the same journal, with every job
 // done under its original fleet ID. It then restarts the whole fleet on
 // the same journals, which exercises the prefix routing that keeps fleet
-// IDs resolvable without coordinator state.
+// IDs resolvable without coordinator state. Last, it SIGKILLs the
+// coordinator alone, and every shard must die with it.
 func fleet(h *harness, sc scenario) error {
 	var victim string
 	d, ids, faultAt, err := h.survive(sc, "the shard kill", func(d *daemon, ids []string) (*daemon, error) {
@@ -154,7 +155,7 @@ func fleet(h *harness, sc scenario) error {
 	if err := h.fresh(d.url, `{"kind":"net","size_bytes":2048,"iters":5,"dst_node":7}`, sc); err != nil {
 		return fmt.Errorf("after fleet restart: %w", err)
 	}
-	return d.stop()
+	return h.killCoordinator(sc, d)
 }
 
 // disk destroys the busiest shard of a replicated fleet outright. The

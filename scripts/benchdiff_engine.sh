@@ -1,7 +1,8 @@
 #!/bin/sh
 # Engine benchmark gate: the BenchmarkDES_* and BenchmarkMPISim_*
-# benchmarks of a base commit and of the working tree, built side by side
-# and run on this machine, compared by scripts/benchdiff. Run via
+# benchmarks, plus the paper's two pair sweeps BenchmarkFigure4 and
+# BenchmarkFigure5, of a base commit and of the working tree, built side
+# by side and run on this machine, compared by scripts/benchdiff. Run via
 # `make benchdiff-engine` or the CI benchdiff job:
 #
 #   ./scripts/benchdiff_engine.sh               # base = HEAD^1
@@ -17,11 +18,11 @@ set -eu
 
 base=${BASE:-HEAD^1}
 rounds=5
-bench='^Benchmark(DES|MPISim)_'
+bench='^(Benchmark(DES|MPISim)_|BenchmarkFigure[45]$)'
 # The engine benchmarks lived in the root package before they moved into
 # the packages they measure; listing all three keeps either layout
-# comparable.
-pkgs='. ./internal/des ./internal/mpisim'
+# comparable. Figs. 4 and 5 are most of a paper regeneration.
+pkgs='. ./internal/des ./internal/mpisim ./internal/bench/osu'
 
 root=$(git rev-parse --show-toplevel)
 commit=$(git -C "$root" rev-parse --verify --quiet "$base^{commit}") || {
@@ -51,7 +52,7 @@ build base "$tmp/base"
 build head "$root"
 (cd "$root" && go build -o "$tmp/benchdiff" ./scripts/benchdiff)
 
-# run SIDE DIR appends one round of SIDE's engine benchmarks to
+# run SIDE DIR appends one round of SIDE's gated benchmarks to
 # $tmp/SIDE.txt, each binary run from its package directory as go test
 # runs it. A failing benchmark fails the gate.
 run() {
