@@ -93,13 +93,16 @@ benchdiff-engine:
 # experiment-level result comparison for every registered kind, the
 # topology-aware placement against its sort-based reference, message
 # pricing against the straight-line referenceMessageTime, Fig. 5's
-# bound-and-bin path (interconnect.Route.SustainedBin, which draws jitter
-# only when it could move a bin) against the binned
-# referenceSustainedBandwidth, the µKernel's fixed-point exit against the
+# bound-and-bin path (interconnect.Sweep, which draws jitter only when it
+# could move a bin and memoises each route shape's draw-free stage)
+# against the binned referenceSustainedBandwidth, the jitter bounds
+# (xrand.SlowJitterRange and its radius and angle tables) against the
+# Box-Muller draws they bound, the µKernel's fixed-point exit against the
 # full-length referenceExecute, Fig. 5's histogram percentiles against the
 # expanded sample and referenceSpreadAt, the GOMAXPROCS-sharded Fig. 4/5
 # sweeps against the serial referenceFigure4/referenceFigure5 (Fig. 5 also
-# at the paper's own sweep at 90, 900 and 2,000 bins), the service's
+# at the paper's own sweep at 90, 900 and 2,000 bins, at 1, 4 and 5
+# trials and on MN4's fat tree), the service's
 # job-history list against
 # the old map-plus-slice eviction scan, clusterd's job-API responses
 # against testdata/views.golden (internal/service), the coordinator's
@@ -111,7 +114,7 @@ benchdiff-engine:
 # run, the reference heap under the tag. The placement oracle also covers
 # the fat-tree shapes where per-leaf seed pricing has edge cases.
 difftest:
-	$(GO) test -run 'Differential|Oracle|Fuzz|CondSignal|WorkerReuse|ViewGoldens' -v ./internal/des/... ./internal/experiment/ ./internal/sched/ ./internal/interconnect/ ./internal/simdvec/ ./internal/stats/ ./internal/bench/osu/ ./internal/service/ ./internal/fleet/
+	$(GO) test -run 'Differential|Oracle|Fuzz|CondSignal|WorkerReuse|ViewGoldens' -v ./internal/des/... ./internal/experiment/ ./internal/sched/ ./internal/interconnect/ ./internal/simdvec/ ./internal/stats/ ./internal/xrand/ ./internal/bench/osu/ ./internal/service/ ./internal/fleet/
 	$(GO) test -tags desrefqueue ./internal/des/...
 	$(GO) test -tags desrefqueue -run 'TestDifferentialSchedulers' -v ./internal/experiment/
 

@@ -131,8 +131,8 @@ type Heatmap struct {
 // contiguous shards, sweeps each in a goroutine of its own and returns the
 // shards' results in sender order.
 //
-// A sharded sweep is exact, not merely close: SustainedBandwidth, and
-// Route.SustainedBin, which bins it, are pure functions of a fabric nobody
+// A sharded sweep is exact, not merely close: SustainedBandwidth, and the
+// interconnect.Sweep that bins it, are pure functions of a fabric nobody
 // writes to (each trial's stream is Mix64(key ^ trial); DegradedRecv and
 // the fault model are only read), so a pair's bandwidth does not depend on
 // which goroutine prices it or when.
@@ -265,37 +265,38 @@ func Figure5(f *interconnect.Fabric, minExp, maxExp, bins, iters int) (*Distribu
 	for exp := minExp; exp <= maxExp; exp++ {
 		d.Sizes = append(d.Sizes, units.Bytes(math.Pow(2, float64(exp))))
 	}
-	// Each shard bins its own senders into histograms of its own, pair by
-	// pair so each route is priced once for every size. Once all have
-	// finished, the first shard's histograms take the others' counts.
-	// Every histogram has the same domain, so one binning serves them all.
+	// Each shard bins its own senders through a sweep of its own, pair by
+	// pair so each route is priced once for every size, and counts them in
+	// one flat table, bins consecutive per size. Once all have finished,
+	// the histograms add up every shard's counts. Every histogram has the
+	// same domain, so one binning serves them all.
 	binning := newGBBins(stats.NewHistogram(d.LogLo, d.LogHi, bins))
 	n := f.Topo.Nodes()
-	shards := sweepSenders(n, func(lo, hi int) []*stats.Histogram {
-		hists := make([]*stats.Histogram, len(d.Sizes))
-		for i := range hists {
-			hists[i] = stats.NewHistogram(d.LogLo, d.LogHi, bins)
-		}
+	shards := sweepSenders(n, func(lo, hi int) []int {
+		counts := make([]int, len(d.Sizes)*bins)
+		sweep := f.NewSweep(d.Sizes, iters, binning)
 		for s := lo; s < hi; s++ {
 			for r := 0; r < n; r++ {
 				if s == r {
 					continue
 				}
-				route := f.Route(s, r)
-				for i, size := range d.Sizes {
-					hists[i].Counts[route.SustainedBin(size, iters, binning)]++
+				sweep.Route(s, r)
+				for i := range d.Sizes {
+					counts[i*bins+sweep.Bin(i)]++
 				}
 			}
 		}
-		return hists
+		return counts
 	})
-	d.Hist = shards[0]
-	for _, hists := range shards[1:] {
-		for i, h := range hists {
-			for b, c := range h.Counts {
-				d.Hist[i].Counts[b] += c
+	d.Hist = make([]*stats.Histogram, len(d.Sizes))
+	for i := range d.Hist {
+		h := stats.NewHistogram(d.LogLo, d.LogHi, bins)
+		for _, counts := range shards {
+			for b, c := range counts[i*bins : (i+1)*bins] {
+				h.Counts[b] += c
 			}
 		}
+		d.Hist[i] = h
 	}
 	return d, nil
 }

@@ -333,12 +333,15 @@ func TestFigureSweepsDifferential(t *testing.T) {
 // count of referenceFigure5 at 90, 900 and 2,000 bins: at noise seeds 0
 // (the built-in one), 7 and 2031 at GOMAXPROCS 2, and with
 // TestTransferPricingDifferential's three link faults at GOMAXPROCS 1 and
-// 3. At 90 bins about half the cells are binned before any draw, a sixth
-// after the persistent draw alone and a third drawn in full; at 900 bins
-// no cell is binned before a draw, and at 2,000 every cell is drawn in
-// full.
+// 3. Three more cases at GOMAXPROCS 2 leave one thing of the paper's sweep
+// out: 5 trials, past the 4 whose lottery patterns a Sweep's memo keeps;
+// 1 trial; and MN4's OmniPath fat tree over 192 nodes in place of the
+// TofuD torus. At 90 bins about half the cells are binned before any draw,
+// a sixth on the persistent factor's range, a third on every factor's
+// range and 1% drawn in full; at 900 bins no cell is binned before a
+// draw and a tenth are drawn in full.
 func TestFigure5PaperSweepDifferential(t *testing.T) {
-	const minExp, maxExp, iters = 0, 24, 4
+	const minExp, maxExp = 0, 24
 	faulted := machine.CTEArm()
 	fm, err := (&faultsim.Spec{Links: []faultsim.LinkFault{
 		{Src: 0, Dst: 23, BandwidthFactor: 0.3},
@@ -351,28 +354,33 @@ func TestFigure5PaperSweepDifferential(t *testing.T) {
 	faulted.Faults = fm
 	cases := []struct {
 		name  string
+		build func(machine.Machine, int) (*interconnect.Fabric, error)
 		m     machine.Machine
+		iters int
 		procs []int
 	}{
-		{"seed0", machine.CTEArm(), []int{2}},
-		{"seed7", machine.CTEArm(), []int{2}},
-		{"seed2031", machine.CTEArm(), []int{2}},
-		{"link-faults", faulted, []int{1, 3}},
+		{"seed0", interconnect.NewTofuD, machine.CTEArm(), 4, []int{2}},
+		{"seed7", interconnect.NewTofuD, machine.CTEArm(), 4, []int{2}},
+		{"seed2031", interconnect.NewTofuD, machine.CTEArm(), 4, []int{2}},
+		{"link-faults", interconnect.NewTofuD, faulted, 4, []int{1, 3}},
+		{"trials5", interconnect.NewTofuD, machine.CTEArm(), 5, []int{2}},
+		{"trials1", interconnect.NewTofuD, machine.CTEArm(), 1, []int{2}},
+		{"mn4", interconnect.NewOmniPath, machine.MareNostrum4(), 4, []int{2}},
 	}
 	cases[1].m.Network.Seed = 7
 	cases[2].m.Network.Seed = 2031
 	for _, c := range cases {
-		f, err := interconnect.NewTofuD(c.m, 192)
+		f, err := c.build(c.m, 192)
 		if err != nil {
 			t.Fatal(err)
 		}
 		binCounts := []int{90, 900, 2000}
-		wants := referenceFigure5(f, minExp, maxExp, iters, binCounts...)
+		wants := referenceFigure5(f, minExp, maxExp, c.iters, binCounts...)
 		for k, bins := range binCounts {
 			want := wants[k]
 			for _, procs := range c.procs {
 				name := fmt.Sprintf("%s/bins%d/procs%d", c.name, bins, procs)
-				d := figure5At(t, procs, f, minExp, maxExp, bins, iters)
+				d := figure5At(t, procs, f, minExp, maxExp, bins, c.iters)
 				for i, h := range want {
 					if !slices.Equal(d.Hist[i].Counts, h.Counts) {
 						t.Fatalf("%s: counts at %v differ\n got %v\nwant %v", name, d.Sizes[i], d.Hist[i].Counts, h.Counts)

@@ -347,7 +347,8 @@ func releaseReply(buf *bytes.Buffer) {
 }
 
 // handleSubmit canonicalizes the spec locally (the same registry code the
-// shard runs, so a 400 never costs a proxy hop), looks the cache key up
+// shard runs, so a 400, or a 413 for a body over service.MaxSpecBytes,
+// never costs a proxy hop), looks the cache key up
 // on the ring and forwards the normalized spec to the owning shard. A
 // shard that fails at the transport layer is marked down and the next
 // ring successor tried, so a mid-request crash degrades to a retry
@@ -356,10 +357,10 @@ func releaseReply(buf *bytes.Buffer) {
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	began := hostNow()
 	var spec experiment.Spec
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, service.MaxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid job spec: "+err.Error())
+		writeError(w, service.DecodeStatus(err), "invalid job spec: "+err.Error())
 		return
 	}
 	norm, key, err := experiment.Canonicalize(spec)

@@ -180,6 +180,48 @@ func TestCoordinatorRejectsInvalidSpecLocally(t *testing.T) {
 	}
 }
 
+// hugeSpec is a JSON body of size bytes whose first string never closes,
+// so a decoder must read all of it to finish one value. read counts the
+// bytes taken from it.
+type hugeSpec struct{ read, size int }
+
+func (b *hugeSpec) Read(p []byte) (int, error) {
+	const head = `{"kind":"`
+	n := min(len(p), b.size-b.read)
+	if n == 0 {
+		return 0, io.EOF
+	}
+	for i := range p[:n] {
+		if at := b.read + i; at < len(head) {
+			p[i] = head[at]
+		} else {
+			p[i] = 'a'
+		}
+	}
+	b.read += n
+	return n, nil
+}
+
+// TestCoordinatorCapsSpecBody submits a 64 MiB spec to the coordinator,
+// which must answer 413 having read at most service.MaxSpecBytes of it,
+// plus one 512-byte read of the JSON decoder's buffer, and forward
+// nothing.
+func TestCoordinatorCapsSpecBody(t *testing.T) {
+	tf := newTestFleet(t, 2)
+	body := &hugeSpec{size: 64 << 20}
+	rec := httptest.NewRecorder()
+	tf.coord.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("a 64 MiB spec answered %d, want 413:\n%s", rec.Code, rec.Body.String())
+	}
+	if body.read > service.MaxSpecBytes+512 {
+		t.Errorf("read %d bytes of a 64 MiB spec, cap %d", body.read, service.MaxSpecBytes)
+	}
+	if got := tf.coord.forwarded.Value(); got != 0 {
+		t.Errorf("an oversized spec was forwarded %d time(s)", got)
+	}
+}
+
 func TestCoordinatorMergedListing(t *testing.T) {
 	tf := newTestFleet(t, 3)
 	front := tf.front(t)

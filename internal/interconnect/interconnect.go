@@ -15,6 +15,7 @@ package interconnect
 
 import (
 	"fmt"
+	"math"
 
 	"clustereval/internal/faultsim"
 	"clustereval/internal/machine"
@@ -224,11 +225,10 @@ func (f *Fabric) MessageTime(src, dst int, size units.Bytes, trial uint64) units
 	return tr.time(trial)
 }
 
-// Route is what every transfer from one node to another shares,
-// whatever its size: route latency, bandwidth after link faults, the
-// receiver's degradation and the pair's noise key. A sweep over message
-// sizes prices it once per pair (Fabric.Route).
-type Route struct {
+// route is what every transfer from one node to another shares, whatever
+// its size: route latency, bandwidth after link faults, the receiver's
+// degradation and the pair's noise key. A Sweep prices it once per pair.
+type route struct {
 	f *Fabric
 	// self marks src == dst, whose time is lat alone: intra-node latency
 	// plus transfer, with no protocol switch and no noise.
@@ -240,20 +240,14 @@ type Route struct {
 	pairKey uint64 // MixN(Seed, src, dst); a transfer folds its size onto it
 }
 
-// Route prices what every transfer from src to dst shares.
-func (f *Fabric) Route(src, dst int) Route {
-	var r Route
-	f.route(&r, src, dst)
-	return r
-}
-
-// route fills r rather than returning a Route, as price fills a transfer.
-func (f *Fabric) route(r *Route, src, dst int) {
+// fillRoute prices what every transfer from src to dst shares into r. It
+// fills r rather than returning a route, as price fills a transfer.
+func (f *Fabric) fillRoute(r *route, src, dst int) {
 	if src == dst {
-		*r = Route{f: f, self: true}
+		*r = route{f: f, self: true}
 		return
 	}
-	*r = Route{f: f, lat: f.Latency(src, dst), bw: float64(f.Net.LinkPeak),
+	*r = route{f: f, lat: f.Latency(src, dst), bw: float64(f.Net.LinkPeak),
 		pairKey: xrand.MixN(f.Seed, uint64(src), uint64(dst))}
 	if le, ok := f.Faults.Link(src, dst); ok && le.BandwidthFactor > 0 {
 		r.bw *= le.BandwidthFactor
@@ -267,7 +261,7 @@ func (f *Fabric) route(r *Route, src, dst int) {
 // same from trial to trial worked out once: its route, its noise amplitude
 // and key, and the persistent contention jitter.
 type transfer struct {
-	Route
+	route
 	size       units.Bytes
 	eps        float64 // noiseAmplitude(size)
 	key        uint64  // MixN(Seed, src, dst, size); trial streams fold onto it
@@ -279,7 +273,7 @@ type transfer struct {
 // measurably slowed MessageTime, the per-message path of every mpisim
 // send. Negative sizes panic.
 func (f *Fabric) price(tr *transfer, src, dst int, size units.Bytes) {
-	f.route(&tr.Route, src, dst)
+	f.fillRoute(&tr.route, src, dst)
 	tr.sized(size)
 	tr.drawPersistent()
 }
@@ -311,37 +305,62 @@ func (tr *transfer) drawPersistent() {
 	if tr.self {
 		return
 	}
-	persistent := xrand.New(tr.key ^ 0xc0de)
+	persistent := xrand.New(tr.key ^ persistentSalt)
 	tr.persistent = persistent.SlowJitter(persistentShare * tr.eps)
 }
 
-// lottery reports whether the transfer's size draws the buffer lottery.
-func (tr *transfer) lottery() bool {
-	return tr.size >= tr.f.MidSizeLow && tr.size <= tr.f.MidSizeHigh
+// lottery reports whether transfers of the given size draw the buffer
+// lottery.
+func (f *Fabric) lottery(size units.Bytes) bool {
+	return size >= f.MidSizeLow && size <= f.MidSizeHigh
+}
+
+// slowPath reports whether a trial whose stream is stream draws the slow
+// outcome of the buffer lottery, at a size that draws it.
+func (f *Fabric) slowPath(stream uint64) bool {
+	return float64(stream%1000)/1000.0 < f.SlowPathProb
 }
 
 // persistentShare and transientShare split a transfer's noise amplitude
-// between its persistent and its per-trial jitter factor.
-const persistentShare, transientShare = 0.7, 0.3
+// between its persistent and its per-trial jitter factor, and
+// persistentSalt and transientSalt key their streams apart.
+const (
+	persistentShare, transientShare = 0.7, 0.3
+	persistentSalt, transientSalt   = 0xc0de, 0xfeed
+)
 
 // time returns the transfer's one-way time in the given trial.
 func (tr *transfer) time(trial uint64) units.Seconds {
 	if tr.self {
 		return tr.lat
 	}
-	f, size, lat, bw := tr.f, tr.size, tr.lat, tr.bw
+	// MixN folds left, so this is MixN(Seed, src, dst, size, trial).
+	stream := xrand.Mix64(tr.key ^ trial)
+	t := tr.quietTime(tr.size, tr.f.lottery(tr.size) && tr.f.slowPath(stream))
+
+	// SlowJitter(0) is exactly 1, and so is the persistent factor drawn at
+	// amplitude 0: a noiseless transfer takes t, and draws nothing.
+	if tr.eps == 0 {
+		return t
+	}
+	transient := xrand.New(stream ^ transientSalt)
+	j := tr.persistent * transient.SlowJitter(transientShare*tr.eps)
+	return t * units.Seconds(j)
+}
+
+// quietTime returns the time of a trial of size bytes over the route
+// without its contention jitter, on the slow outcome of the buffer lottery
+// if slow.
+func (r *route) quietTime(size units.Bytes, slow bool) units.Seconds {
+	f, lat, bw := r.f, r.lat, r.bw
 
 	// Buffer lottery for mid-size messages: the slow outcome pays an
 	// extra internal copy (one more latency) and reduced bandwidth,
 	// which is what splits Fig. 5 into two modes between 1 kB and 256 kB.
-	// MixN folds left, so this is MixN(Seed, src, dst, size, trial).
-	stream := xrand.Mix64(tr.key ^ trial)
 	extraLat := units.Seconds(0)
-	if tr.lottery() {
-		if p := float64(stream%1000) / 1000.0; p < f.SlowPathProb {
-			bw *= f.SlowPathFactor
-			extraLat = lat
-		}
+	if slow {
+		bw *= f.SlowPathFactor
+		extraLat = lat
 	}
 
 	t := lat + extraLat + units.TimeFor(size, units.BytesPerSecond(bw))
@@ -354,18 +373,10 @@ func (tr *transfer) time(trial uint64) units.Seconds {
 	// Receiver-side degradation (arms0b1-11c): the sick node processes
 	// every incoming message slowly — latency and transfer alike — while
 	// its sender path stays healthy, exactly the asymmetry Fig. 4 shows.
-	if tr.recv > 0 {
-		t = t / units.Seconds(tr.recv)
+	if r.recv > 0 {
+		t = t / units.Seconds(r.recv)
 	}
-
-	// SlowJitter(0) is exactly 1, and so is the persistent factor drawn at
-	// amplitude 0: a noiseless transfer takes t, and draws nothing.
-	if tr.eps == 0 {
-		return t
-	}
-	transient := xrand.New(stream ^ 0xfeed)
-	j := tr.persistent * transient.SlowJitter(transientShare*tr.eps)
-	return t * units.Seconds(j)
+	return t
 }
 
 // noiseAmplitude interpolates the jitter amplitude between the small- and
@@ -421,73 +432,245 @@ type Binning interface {
 	// Bin returns the bin of bw.
 	Bin(bw units.BytesPerSecond) int
 	// Settled returns the bin Bin gives every bandwidth from lo to hi, and
-	// false when it cannot be sure that one bin holds them all.
+	// false when it cannot be sure that one bin holds them all. It must
+	// also answer false within a few ulps of a bin edge, as
+	// stats.GuardedEdges does: a Sweep's bounds can be an ulp off where a
+	// build fuses a multiply-add in them but not in sustained.
 	Settled(lo, hi units.BytesPerSecond) (bin int, ok bool)
 }
 
-// SustainedBin returns b.Bin(SustainedBandwidth(src, dst, size, n)) for
-// the route's src and dst, and draws the contention jitter only when it
-// could move that bin.
+// A Sweep bins what SustainedBandwidth returns over n trials, at a fixed
+// list of sizes, for one route after another: after Route(src, dst),
+// Bin(i) returns b.Bin(SustainedBandwidth(src, dst, sizes[i], n)). It
+// draws the contention jitter only where it could move that bin, and
+// works out a route's jitter-free times once per route shape.
+// A Sweep is not safe for concurrent use; give each goroutine its own.
 //
-// For e >= 0, SlowJitter(e) lies in [1, xrand.SlowJitterMax(e)], so every
-// trial's jitter factor, the persistent factor P times a transient one T,
-// lies in [1, Pmax*Tmax], and in [P, P*Tmax] once P is drawn. bounds runs
-// sustained's arithmetic at both ends of that range, and IEEE rounding is
-// monotone in every operand, so the bandwidth lies between the two
-// results. When Settled puts both in one bin before any draw, or after the
-// persistent draw alone, that bin is the answer; otherwise every transient
-// factor is drawn and the bandwidth binned as SustainedBandwidth computes
-// it. Negative sizes and n <= 0 panic.
-func (r *Route) SustainedBin(size units.Bytes, n int, b Binning) int {
+// For e >= 0, SlowJitter(e) lies in [1, xrand.SlowJitterMax(e)], so a
+// trial's jitter factor, the persistent factor P times a transient one
+// T, lies in [1, Pmax*Tmax]. Running sustained's multiplies, sequential
+// sum and size*n/total at both ends of such a range bounds the bandwidth,
+// because IEEE rounding is monotone in every operand; when Settled puts
+// both ends in one bin, that bin is the answer. Bin tries three ranges
+// in turn:
+//
+//  1. [1, Pmax*Tmax], which the trials' jitter-free times alone decide;
+//  2. [Plo, Phi*Tmax], with P's range from xrand.SlowJitterRange;
+//  3. [Plo*Tlo, Phi*Thi], with each trial's own transient range;
+//
+// and, when none settles, draws every factor and bins what sustained
+// returns.
+//
+// A route's shape is what its jitter-free times read: its latency, its
+// link bandwidth and its receiver's degradation. Routes of one shape share
+// a row of the sweep's memo, which holds each size's jitter-free times on
+// the fast and the slow outcome of the buffer lottery and, for up to
+// maxMemoTrials trials, stage 1's verdict for each lottery pattern (which
+// trials draw the slow outcome). Self-routes, negative or NaN amplitudes
+// and more than 64 trials take SustainedBandwidth's own path.
+type Sweep struct {
+	b     Binning
+	n     int
+	sizes []sweepSize
+	route route
+	// slowBelow is the stream%1000 below which a trial draws the slow
+	// outcome of the buffer lottery, as the fabric's slowPath decides it.
+	slowBelow uint64
+	// row is the memo's row for the route's shape, or spare when the
+	// memo is full; nil for a self-route.
+	row    []quiet
+	spare  []quiet
+	shapes []shape // the shape of each row, in the memo's order
+	memo   []quiet // len(sizes) entries per shape
+}
+
+// sweepSize is what a Sweep works out once for each of its sizes.
+type sweepSize struct {
+	size units.Bytes
+	// settles is false where Bin takes SustainedBandwidth's own path.
+	settles bool
+	lottery bool    // the size draws the buffer lottery
+	pEps    float64 // the persistent and the transient jitter amplitude
+	tEps    float64
+	tMax    float64 // SlowJitterMax(tEps)
+	jMax    float64 // SlowJitterMax(pEps) * tMax
+	bytes   float64 // size*n, sustained's numerator
+}
+
+// shape is a route's latency, link bandwidth and receiver factor, in
+// math.Float64bits.
+type shape struct{ lat, bw, recv uint64 }
+
+// quiet is one size's entry in a Sweep's memo row.
+type quiet struct {
+	fast, slow units.Seconds // a trial's jitter-free time on either lottery outcome
+	// verdict[p] is stage 1's verdict for lottery pattern p: 0 until it is
+	// worked out, then bin+1 if the bin is settled and -1 if it is not.
+	verdict [1 << maxMemoTrials]int32
+}
+
+const (
+	// maxMemoTrials is the most trials whose lottery patterns a Sweep's
+	// memo keeps stage 1 verdicts for; Fig. 5 runs 4.
+	maxMemoTrials = 4
+	// maxShapes is the most route shapes a Sweep's memo holds; a route of
+	// any other shape works its row out again each time. CTE-Arm's 192
+	// nodes have 14 shapes, and each faulted link can add one.
+	maxShapes = 64
+)
+
+// NewSweep returns a Sweep of the fabric's transfers at the given sizes
+// over n trials, binned by b. Negative sizes and n <= 0 panic.
+func (f *Fabric) NewSweep(sizes []units.Bytes, n int, b Binning) *Sweep {
 	if n <= 0 {
 		panic("interconnect: need at least one iteration")
 	}
-	tr := transfer{Route: *r}
-	tr.sized(size)
-	if tr.self || !(tr.eps >= 0) {
-		tr.drawPersistent()
-		return b.Bin(tr.sustained(n))
+	s := &Sweep{b: b, n: n, sizes: make([]sweepSize, len(sizes)), route: route{f: f}}
+	// slowPath compares stream%1000 against a fixed probability, so the
+	// draws it sends down the slow path are the integers below a bound.
+	for s.slowBelow < 1000 && f.slowPath(s.slowBelow) {
+		s.slowBelow++
 	}
+	for i, size := range sizes {
+		if size < 0 {
+			panic(fmt.Sprintf("interconnect: negative message size %v", float64(size)))
+		}
+		eps := f.noiseAmplitude(size)
+		pEps, tEps := persistentShare*eps, transientShare*eps
+		tMax := xrand.SlowJitterMax(tEps)
+		s.sizes[i] = sweepSize{
+			// A uint64 holds the lottery pattern of up to 64 trials.
+			size: size, settles: eps >= 0 && n <= 64, lottery: f.lottery(size),
+			pEps: pEps, tEps: tEps, tMax: tMax, jMax: xrand.SlowJitterMax(pEps) * tMax,
+			bytes: float64(size) * float64(n),
+		}
+	}
+	return s
+}
 
-	// Every trial's jitter-free time, as a noiseless copy times it.
-	// Outside the buffer lottery's sizes every trial takes the same time.
-	// The buffer holds the paper's trial counts (4 and 16) on the stack.
-	var buf [16]units.Seconds
-	ts := buf[:0]
-	if n > len(buf) {
-		ts = make([]units.Seconds, 0, n)
+// Route points the sweep at the route from src to dst.
+func (s *Sweep) Route(src, dst int) {
+	r := &s.route
+	r.f.fillRoute(r, src, dst)
+	if r.self {
+		s.row = nil
+		return
 	}
-	quiet := tr
-	quiet.eps = 0
-	for i := range n {
-		if i > 0 && !tr.lottery() {
-			ts = append(ts, ts[0])
-		} else {
-			ts = append(ts, quiet.time(uint64(i)))
+	key := shape{math.Float64bits(float64(r.lat)), math.Float64bits(r.bw), math.Float64bits(r.recv)}
+	for k, sh := range s.shapes {
+		if sh == key {
+			s.row = s.memo[k*len(s.sizes) : (k+1)*len(s.sizes)]
+			return
+		}
+	}
+	if len(s.shapes) < maxShapes {
+		s.shapes = append(s.shapes, key)
+		s.memo = append(s.memo, make([]quiet, len(s.sizes))...)
+		s.row = s.memo[len(s.memo)-len(s.sizes):]
+	} else {
+		if s.spare == nil {
+			s.spare = make([]quiet, len(s.sizes))
+		}
+		s.row = s.spare
+	}
+	for i, sz := range s.sizes {
+		s.row[i] = quiet{fast: r.quietTime(sz.size, false)}
+		if sz.lottery {
+			s.row[i].slow = r.quietTime(sz.size, true)
+		}
+	}
+}
+
+// Bin returns the bin of the bandwidth of the route's transfers at
+// sizes[i] over the sweep's trials.
+func (s *Sweep) Bin(i int) int {
+	sz := &s.sizes[i]
+	if s.row == nil || !sz.settles {
+		return s.exact(sz)
+	}
+	q := &s.row[i]
+	// MixN folds left, so this is MixN(Seed, src, dst, size), and each
+	// trial's stream is Mix64(key ^ trial).
+	key := xrand.Mix64(s.route.pairKey ^ uint64(sz.size))
+	var pattern uint64 // bit t is set when trial t draws the slow path
+	if sz.lottery {
+		for t := range s.n {
+			// Go compiles this form to a compare-and-set; setting the bit
+			// inside the if compiles to a branch that slow trials
+			// mispredict.
+			var slow uint64
+			if xrand.Mix64(key^uint64(t))%1000 < s.slowBelow {
+				slow = 1
+			}
+			pattern |= slow << t
 		}
 	}
 
-	tMax := xrand.SlowJitterMax(transientShare * tr.eps)
-	if bin, ok := b.Settled(tr.bounds(ts, 1, xrand.SlowJitterMax(persistentShare*tr.eps)*tMax)); ok {
+	// Stage 1: no draw.
+	var verdict int32
+	if s.n <= maxMemoTrials {
+		verdict = q.verdict[pattern]
+	}
+	if verdict == 0 {
+		verdict = -1
+		if bin, ok := s.b.Settled(q.bounds(sz, pattern, s.n, 1, sz.jMax)); ok {
+			verdict = int32(bin) + 1
+		}
+		if s.n <= maxMemoTrials {
+			q.verdict[pattern] = verdict
+		}
+	}
+	if verdict > 0 {
+		return int(verdict - 1)
+	}
+
+	// Stage 2: the persistent factor's range.
+	pLo, pHi := xrand.SlowJitterRange(key^persistentSalt, sz.pEps)
+	if bin, ok := s.b.Settled(q.bounds(sz, pattern, s.n, pLo, pHi*sz.tMax)); ok {
 		return bin
 	}
+
+	// Stage 3: every trial's transient range as well.
+	var fast, slow units.Seconds
+	for t := range s.n {
+		tLo, tHi := xrand.SlowJitterRange(xrand.Mix64(key^uint64(t))^transientSalt, sz.tEps)
+		qt := q.time(pattern, t)
+		fast += qt * units.Seconds(pLo*tLo)
+		slow += qt * units.Seconds(pHi*tHi)
+	}
+	if bin, ok := s.b.Settled(units.BytesPerSecond(sz.bytes/float64(slow)), units.BytesPerSecond(sz.bytes/float64(fast))); ok {
+		return bin
+	}
+	return s.exact(sz)
+}
+
+// exact bins the route's bandwidth at sz as SustainedBandwidth computes
+// it, every jitter factor drawn.
+func (s *Sweep) exact(sz *sweepSize) int {
+	tr := transfer{route: s.route}
+	tr.sized(sz.size)
 	tr.drawPersistent()
-	if bin, ok := b.Settled(tr.bounds(ts, tr.persistent, tr.persistent*tMax)); ok {
-		return bin
+	return s.b.Bin(tr.sustained(s.n))
+}
+
+// time returns trial t's jitter-free time under lottery pattern pattern.
+func (q *quiet) time(pattern uint64, t int) units.Seconds {
+	if pattern>>t&1 != 0 {
+		return q.slow
 	}
-	return b.Bin(tr.sustained(n))
+	return q.fast
 }
 
 // bounds returns the least and the greatest bandwidth sustained can
-// return over the trials whose jitter-free times are ts when every
-// trial's jitter factor lies in [jLo, jHi]: it runs sustained's
-// operations in sustained's order at both ends.
-func (tr *transfer) bounds(ts []units.Seconds, jLo, jHi float64) (lo, hi units.BytesPerSecond) {
+// return over n trials under lottery pattern pattern when every trial's
+// jitter factor lies in [jLo, jHi]: it runs sustained's operations in
+// sustained's order at both ends.
+func (q *quiet) bounds(sz *sweepSize, pattern uint64, n int, jLo, jHi float64) (lo, hi units.BytesPerSecond) {
 	var fast, slow units.Seconds
-	for _, t := range ts {
-		fast += t * units.Seconds(jLo)
-		slow += t * units.Seconds(jHi)
+	for t := range n {
+		qt := q.time(pattern, t)
+		fast += qt * units.Seconds(jLo)
+		slow += qt * units.Seconds(jHi)
 	}
-	bytes := float64(tr.size) * float64(len(ts))
-	return units.BytesPerSecond(bytes / float64(slow)), units.BytesPerSecond(bytes / float64(fast))
+	return units.BytesPerSecond(sz.bytes / float64(slow)), units.BytesPerSecond(sz.bytes / float64(fast))
 }

@@ -321,10 +321,11 @@ func TestOmniPathUniformity(t *testing.T) {
 }
 
 // TestMessagePricingAllocFree pins the per-message cost model to zero heap
-// allocations on both clusters' fabrics: latency, and MessageTime,
-// SustainedBandwidth and Route.SustainedBin at Fig. 5's 90 bins in every
-// protocol regime (eager, the 1 KiB–256 KiB buffer lottery, rendezvous,
-// >1 MiB contention), to a healthy node and to the degraded receiver.
+// allocations on both clusters' fabrics: latency, MessageTime and
+// SustainedBandwidth, and a Sweep's Route and Bin at Fig. 5's 90 bins once
+// its memo holds the route's shape, in every protocol regime (eager, the
+// 1 KiB–256 KiB buffer lottery, rendezvous, >1 MiB contention), to a
+// healthy node and to the degraded receiver.
 func TestMessagePricingAllocFree(t *testing.T) {
 	sizes := []units.Bytes{
 		units.Bytes(8), units.Bytes(1 * units.KiB), units.Bytes(16 * units.KiB),
@@ -344,9 +345,20 @@ func TestMessagePricingAllocFree(t *testing.T) {
 				if allocs := testing.AllocsPerRun(50, func() { f.SustainedBandwidth(0, dst, size, 16) }); allocs != 0 {
 					t.Errorf("%s SustainedBandwidth(0, %d, %v, 16) allocates %v times", name, dst, float64(size), allocs)
 				}
-				route := f.Route(0, dst)
-				if allocs := testing.AllocsPerRun(50, func() { route.SustainedBin(size, 16, bins) }); allocs != 0 {
-					t.Errorf("%s SustainedBin(0, %d, %v, 16) allocates %v times", name, dst, float64(size), allocs)
+			}
+			for _, trials := range []int{4, 16} {
+				sweep := f.NewSweep(sizes, trials, bins)
+				sweep.Route(0, dst)
+				for i := range sizes {
+					sweep.Bin(i) // fills the memo's verdict for this pattern
+				}
+				if allocs := testing.AllocsPerRun(50, func() { sweep.Route(0, dst) }); allocs != 0 {
+					t.Errorf("%s Sweep.Route(0, %d) allocates %v times", name, dst, allocs)
+				}
+				for i, size := range sizes {
+					if allocs := testing.AllocsPerRun(50, func() { sweep.Bin(i) }); allocs != 0 {
+						t.Errorf("%s Sweep.Bin at (0, %d, %v, %d) allocates %v times", name, dst, float64(size), trials, allocs)
+					}
 				}
 			}
 		}
@@ -484,13 +496,14 @@ func (b *logBins) Settled(lo, hi units.BytesPerSecond) (int, bool) {
 
 // TestTransferPricingDifferential requires MessageTime and
 // SustainedBandwidth, which price each transfer once and then run its
-// trials, to match referenceMessageTime bit for bit, and Route.SustainedBin
-// to bin referenceSustainedBandwidth as the binning does: on the TofuD
+// trials, to match referenceMessageTime bit for bit, and a Sweep to bin
+// referenceSustainedBandwidth as the binning does: on the TofuD
 // torus (with the degraded receiver, node 23), the OmniPath and the
 // Infiniband fat trees; with no fault model and with links that lose
 // bandwidth, gain latency, or both; at both sides of every protocol and
 // noise boundary; for self-transfers; on a noiseless TofuD, where no
-// jitter is drawn; and at negative noise amplitudes.
+// jitter is drawn; at negative noise amplitudes; and with more route
+// shapes than a Sweep's memo holds.
 func TestTransferPricingDifferential(t *testing.T) {
 	links := []faultsim.LinkFault{
 		{Src: 0, Dst: 23, BandwidthFactor: 0.3},
@@ -526,10 +539,23 @@ func TestTransferPricingDifferential(t *testing.T) {
 	quiet.NoiseSmall, quiet.NoiseLarge = 0, 0
 	t.Run("cte-arm/noiseless", func(t *testing.T) { checkTransferPricing(t, quiet) })
 	// A negative amplitude makes SlowJitter speed transfers up, outside
-	// the range SustainedBin's bounds assume, so it must bin exactly.
+	// the range a Sweep's bounds assume, so it must bin exactly.
 	negative := tofu(t, 192)
 	negative.NoiseSmall, negative.NoiseLarge = -0.01, -0.2
 	t.Run("cte-arm/negative-noise", func(t *testing.T) { checkTransferPricing(t, negative) })
+	// Links from node 0 that each keep a different share of their
+	// bandwidth give its routes more shapes than a Sweep's memo holds.
+	var many []faultsim.LinkFault
+	for dst := 1; dst <= 2*maxShapes; dst++ {
+		many = append(many, faultsim.LinkFault{Src: 0, Dst: dst, BandwidthFactor: 0.5 + float64(dst)/1000})
+	}
+	m := machine.CTEArm()
+	m.Faults = compiled(t, &faultsim.Spec{Links: many}, 192)
+	crowded, err := NewTofuD(m, 192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("cte-arm/more-shapes-than-memo", func(t *testing.T) { checkTransferPricing(t, crowded) })
 }
 
 func checkTransferPricing(t *testing.T, f *Fabric) {
@@ -542,9 +568,9 @@ func checkTransferPricing(t *testing.T, f *Fabric) {
 		f.MidSizeHigh - 1, f.MidSizeHigh, f.MidSizeHigh + 1,
 		units.Bytes(units.MiB) - 1, units.Bytes(units.MiB), units.Bytes(16 * units.MiB),
 	}
-	// At 90 bins a transfer is binned before any draw, after the
-	// persistent draw alone or drawn in full; at 900 none is binned before
-	// a draw, and at 2,000 every one is drawn in full.
+	// At 90 bins a transfer is binned before any draw, on the persistent
+	// factor's range, on every factor's range or drawn in full; at 900
+	// none is binned before a draw, and at 2,000 more are drawn in full.
 	binnings := []*logBins{newLogBins(90), newLogBins(900), newLogBins(2000)}
 	nodes := []int{0, 1, 2, 5, 23, n / 2, n - 1} // every fault endpoint, 23 as sender and receiver
 	for _, size := range sizes {
@@ -564,32 +590,46 @@ func checkTransferPricing(t *testing.T, f *Fabric) {
 							src, dst, float64(size), trials, float64(got), float64(want))
 					}
 				}
-				// 17 trials outgrow SustainedBin's buffer of trial times.
-				checkSustainedBin(t, f, src, dst, size, []int{1, 2, 4, 16, 17}, binnings)
-			}
-		}
-		// Every receiver of each sender above, so that some bandwidths
-		// fall near a bin edge.
-		for _, src := range nodes {
-			for dst := range n {
-				checkSustainedBin(t, f, src, dst, size, []int{1, 4}, binnings)
 			}
 		}
 	}
+	// A Sweep over 7x7 pairs at trial counts below, at and above the 4
+	// whose lottery patterns its memo keeps, and above the 64 a pattern
+	// can hold; then over every receiver of each sender above, so that
+	// some bandwidths fall near a bin edge. Each sweep runs every pair,
+	// so routes of one shape share its memo.
+	checkSustainedBin(t, f, nodes, nodes, sizes, []int{1, 2, 4, 5, 16, 65}, binnings)
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	checkSustainedBin(t, f, nodes, all, sizes, []int{1, 4, 5}, binnings)
 }
 
-// checkSustainedBin requires Route.SustainedBin from src to dst to return
-// the bin each binning gives referenceSustainedBandwidth, at each trial
-// count.
-func checkSustainedBin(t *testing.T, f *Fabric, src, dst int, size units.Bytes, trialCounts []int, binnings []*logBins) {
+// checkSustainedBin requires a Sweep over sizes, at each trial count and
+// binning, to bin referenceSustainedBandwidth from each src to each dst
+// as the binning does. One sweep serves every pair.
+func checkSustainedBin(t *testing.T, f *Fabric, srcs, dsts []int, sizes []units.Bytes, trialCounts []int, binnings []*logBins) {
 	t.Helper()
-	route := f.Route(src, dst)
 	for _, trials := range trialCounts {
-		bw := referenceSustainedBandwidth(f, src, dst, size, trials)
-		for _, b := range binnings {
-			if got, want := route.SustainedBin(size, trials, b), b.Bin(bw); got != want {
-				t.Fatalf("SustainedBin(%d, %d, %v, %d) at %d bins = %d, reference %d (%v)",
-					src, dst, float64(size), trials, len(b.h.Counts), got, want, float64(bw))
+		sweeps := make([]*Sweep, len(binnings))
+		for k, b := range binnings {
+			sweeps[k] = f.NewSweep(sizes, trials, b)
+		}
+		for _, src := range srcs {
+			for _, dst := range dsts {
+				for _, sweep := range sweeps {
+					sweep.Route(src, dst)
+				}
+				for i, size := range sizes {
+					bw := referenceSustainedBandwidth(f, src, dst, size, trials)
+					for k, b := range binnings {
+						if got, want := sweeps[k].Bin(i), b.Bin(bw); got != want {
+							t.Fatalf("Sweep.Bin(%d, %d, %v, %d) at %d bins = %d, reference %d (%v)",
+								src, dst, float64(size), trials, len(b.h.Counts), got, want, float64(bw))
+						}
+					}
+				}
 			}
 		}
 	}

@@ -136,16 +136,31 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	WriteJSON(w, code, map[string]string{"error": msg})
 }
 
+// MaxSpecBytes caps the JSON body of a job submission, to a shard or to
+// the fleet coordinator, and of a shard's replication peer set. Each is a
+// few hundred bytes; a handler stops reading a larger body at the cap.
+const MaxSpecBytes = 1 << 20
+
+// DecodeStatus is the status that answers a request body that failed to
+// decode with err: 413 when it outgrew the http.MaxBytesReader it was
+// read through, else 400.
+func DecodeStatus(err error) int {
+	if errors.As(err, new(*http.MaxBytesError)) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // handleSubmit accepts a JobSpec, answering 200 for cache hits, 202 for
-// queued jobs, 400 for invalid specs, 429 with Retry-After when admission
-// control sheds the submission, and 503 when the queue is full or the
-// daemon is draining.
+// queued jobs, 400 for invalid specs, 413 for a body over MaxSpecBytes,
+// 429 with Retry-After when admission control sheds the submission, and
+// 503 when the queue is full or the daemon is draining.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid job spec: "+err.Error())
+		writeError(w, DecodeStatus(err), "invalid job spec: "+err.Error())
 		return
 	}
 	view, err := s.svc.Submit(spec)
@@ -339,10 +354,10 @@ type peersRequest struct {
 // ephemeral ports, so the peer set changes across a shard's lifetime.
 func (s *Server) handleReplicaPeers(w http.ResponseWriter, r *http.Request) {
 	var req peersRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid peer set: "+err.Error())
+		writeError(w, DecodeStatus(err), "invalid peer set: "+err.Error())
 		return
 	}
 	if err := s.svc.SetReplication(req.Quorum, req.Peers); err != nil {

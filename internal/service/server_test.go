@@ -434,3 +434,49 @@ func TestMissAnswersQueued(t *testing.T) {
 		}
 	}
 }
+
+// hugeSpec is a JSON body of size bytes whose first string never closes,
+// so a decoder must read all of it to finish one value. read counts the
+// bytes taken from it.
+type hugeSpec struct{ read, size int }
+
+func (b *hugeSpec) Read(p []byte) (int, error) {
+	const head = `{"kind":"`
+	n := min(len(p), b.size-b.read)
+	if n == 0 {
+		return 0, io.EOF
+	}
+	for i := range p[:n] {
+		if at := b.read + i; at < len(head) {
+			p[i] = head[at]
+		} else {
+			p[i] = 'a'
+		}
+	}
+	b.read += n
+	return n, nil
+}
+
+// TestOversizedBodiesAnswer413 sends a 64 MiB body to each shard endpoint
+// that decodes JSON, a job submission and a replication peer set. Each
+// must answer 413 having read at most MaxSpecBytes of it, plus one
+// 512-byte read of the JSON decoder's buffer.
+func TestOversizedBodiesAnswer413(t *testing.T) {
+	svc := New(Config{Workers: 1, runner: func(context.Context, JobSpec) (*Result, error) { return &Result{}, nil }})
+	defer closeNow(t, svc)
+	srv := NewServer(svc)
+	for _, c := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/jobs"},
+		{http.MethodPut, "/v1/replication/peers"},
+	} {
+		body := &hugeSpec{size: 64 << 20}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, body))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s with a 64 MiB body answered %d, want 413:\n%s", c.method, c.path, rec.Code, rec.Body.String())
+		}
+		if body.read > MaxSpecBytes+512 {
+			t.Errorf("%s %s read %d bytes of a 64 MiB body, cap %d", c.method, c.path, body.read, MaxSpecBytes)
+		}
+	}
+}

@@ -11,7 +11,10 @@
 //     each simulated rank/node can own an independent, reproducible stream.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // splitmix64 advances the state and returns the next mixed output.
 // Reference: Steele, Lea, Flood — "Fast splittable pseudorandom number
@@ -150,6 +153,103 @@ func (r *Rand) SlowJitter(eps float64) float64 {
 // SlowJitterMax returns the clamp SlowJitter(eps) never exceeds, 1+3eps,
 // rounded as SlowJitter rounds it.
 func SlowJitterMax(eps float64) float64 { return 1 + 3*eps }
+
+// SlowJitterRange returns lo <= New(seed).SlowJitter(eps) <= hi for an
+// eps >= 0, from the two uniforms that draw would take and without a
+// logarithm, square root or cosine.
+//
+// SlowJitter's |N| is Sqrt(-2*Log(u1)) * |Cos(2*Pi*u2)|. The first factor
+// falls as u1 grows, and the second is monotone in u2 between quarter
+// turns, so the tables bound each over the cell of uniforms that a few
+// leading bits of u1, and of u2, pick. Every step after that (a product
+// of non-negatives, 1+eps*n and the clamp) is monotone, and so is IEEE
+// rounding, so the same steps at the ends of the cells bound the result.
+// lo and hi widen by a few ulps first, because Go may fuse 1+eps*n into a
+// single rounding in one computation and not in the other.
+func SlowJitterRange(seed uint64, eps float64) (lo, hi float64) {
+	// New(seed)'s first two Uint64s, without the rest of its state: the
+	// first reads s[1] alone, the second s[0]^s[1]^s[2]. New's guard
+	// against an all-zero state leaves s[1] = 0, so u1 = 0 and the
+	// fallback applies whatever the second reads.
+	sm := seed
+	s0 := splitmix64(&sm)
+	s1 := splitmix64(&sm)
+	s2 := splitmix64(&sm)
+	return slowJitterRange(rotl(s1*5, 7)*9, rotl((s0^s1^s2)*5, 7)*9, eps)
+}
+
+// slowJitterRange is SlowJitterRange for the draw whose first two Uint64s
+// are x1 and x2.
+func slowJitterRange(x1, x2 uint64, eps float64) (lo, hi float64) {
+	top := SlowJitterMax(eps)
+	m1 := x1 >> 11 // u1 = m1 / 2^53
+	if m1 < 1<<radiusBits {
+		// NormFloat64 redraws u1 = 0, and no radius cell covers the few
+		// other integers this small.
+		return 1, top
+	}
+	shift := bits.Len64(m1) - (radiusBits + 1)
+	r := &radiusCells[shift<<radiusBits+int(m1>>shift)-1<<radiusBits]
+	a := &angleCells[x2>>(64-angleBits)]
+	lo = 1 + eps*(r[0]*a[0])
+	hi = 1 + eps*(r[1]*a[1])
+	lo = math.Float64frombits(math.Float64bits(lo) - ulpSlack)
+	hi = math.Float64frombits(math.Float64bits(hi) + ulpSlack)
+	// Plain comparisons: the min and max builtins also order NaNs and
+	// signed zeros, which no eps >= 0 meets, and cost more.
+	if lo < 1 {
+		lo = 1
+	}
+	if lo > top {
+		lo = top
+	}
+	if hi > top {
+		hi = top
+	}
+	return lo, hi
+}
+
+const (
+	// radiusBits is how many bits after its leading one pick u1's radius
+	// cell. Cell i spans the integers from (64 + i%64) << (i/64) up to the
+	// next cell's first, so the 47 bit lengths from 7 to 53 tile every u1
+	// from 64/2^53 to 1.
+	radiusBits  = 6
+	radiusSpans = 47
+	// angleBits is how many leading bits of u2 pick its angle cell; 1,024
+	// cells put a cell edge on every quarter turn.
+	angleBits = 10
+	// radiusGuard (relative) and angleGuard (absolute) widen each cell's
+	// bounds past any sub-ulp non-monotonicity of Log and Cos, and past
+	// the gap between fl(2*Pi)*u2 and 2*Pi*u2: millions of ulps either way.
+	radiusGuard = 1e-9
+	angleGuard  = 1e-9
+	// ulpSlack is how many ulps SlowJitterRange widens lo and hi by;
+	// fusing 1+eps*n or not moves the result by at most one.
+	ulpSlack = 4
+)
+
+// radiusCells[i] holds [lo, hi] of Sqrt(-2*Log(u1)) over radius cell i,
+// and angleCells[k] [lo, hi] of |Cos(2*Pi*u2)| over u2 in [k, k+1)/1024.
+var (
+	radiusCells [radiusSpans << radiusBits][2]float64
+	angleCells  [1 << angleBits][2]float64
+)
+
+func init() {
+	// Each bound is the function at the cell's ends, where a monotone
+	// function takes its least and greatest values over the cell.
+	radius := func(m uint64) float64 { return math.Sqrt(-2 * math.Log(float64(m)*(1.0/(1<<53)))) }
+	start := func(i int) uint64 { return uint64(1<<radiusBits+i%(1<<radiusBits)) << (i >> radiusBits) }
+	for i := range radiusCells {
+		radiusCells[i] = [2]float64{radius(start(i+1)) * (1 - radiusGuard), radius(start(i)) * (1 + radiusGuard)}
+	}
+	angle := func(k int) float64 { return math.Abs(math.Cos(2 * math.Pi * (float64(k) / (1 << angleBits)))) }
+	for k := range angleCells {
+		a, b := angle(k), angle(k+1)
+		angleCells[k] = [2]float64{max(min(a, b)-angleGuard, 0), max(a, b) + angleGuard}
+	}
+}
 
 // Perm returns a random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {

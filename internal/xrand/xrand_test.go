@@ -144,6 +144,135 @@ func TestSlowJitterOneSided(t *testing.T) {
 	}
 }
 
+// slowJitterOf is SlowJitter(eps) for a draw whose first two Uint64s are
+// x1 and x2, x1>>11 not 0: the arithmetic of NormFloat64 and SlowJitter
+// written out.
+func slowJitterOf(x1, x2 uint64, eps float64) float64 {
+	u1 := float64(x1>>11) * (1.0 / (1 << 53))
+	u2 := float64(x2>>11) * (1.0 / (1 << 53))
+	n := math.Abs(math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2))
+	return min(1+eps*n, SlowJitterMax(eps))
+}
+
+// radiusStart is the first 53-bit integer of radius cell i; radiusStart of
+// the cell past the last is 2^53.
+func radiusStart(i int) uint64 {
+	return uint64(1<<radiusBits+i%(1<<radiusBits)) << (i >> radiusBits)
+}
+
+// TestSlowJitterRangeOracle checks SlowJitterRange's tables, and the
+// range it returns, against the Box–Muller arithmetic they bound:
+//   - every radius cell holds Sqrt(-2*Log(u1)) at both its ends and at
+//     their integer neighbours, as does every angle cell |Cos(2*Pi*u2)|,
+//     with the quarter turns and 4,096 integers either side of each, and
+//     each with a few ulps to spare;
+//   - 1,048,576 random (u1, u2) interior to random cells, through the
+//     tables and through slowJitterRange at amplitudes 0.35 and 1;
+//   - SlowJitterRange(seed, eps) reads New(seed)'s first two Uint64s, and
+//     New(seed).SlowJitter(eps) lies in it, for 3,000,000 seeds at each
+//     amplitude Fig. 5 draws at, and 0 and 1;
+//   - and both fallbacks, which no seed reaches in practice, through the
+//     raw-bits slowJitterRange.
+func TestSlowJitterRangeOracle(t *testing.T) {
+	radius := func(m uint64) float64 { return math.Sqrt(-2 * math.Log(float64(m)*(1.0/(1<<53)))) }
+	angle := func(m uint64) float64 { return math.Abs(math.Cos(2 * math.Pi * (float64(m) * (1.0 / (1 << 53))))) }
+	// A cell must hold each value it covers with room to spare, 2^-50
+	// relative for the radius and absolute for the angle (4 to 8 ulps),
+	// because Log and Cos may wobble by an ulp at the points no test
+	// reaches. |Cos| never goes below 0, so neither need its bound.
+	const slack = 0x1p-50
+	checkRadius := func(i int, m uint64) {
+		t.Helper()
+		if m < radiusStart(i) || m >= radiusStart(i+1) {
+			return // a neighbour outside the tiled range
+		}
+		if c, r := radiusCells[i], radius(m); !(c[0] <= r*(1-slack) && r*(1+slack) <= c[1]) {
+			t.Fatalf("radius cell %d = %v does not hold Sqrt(-2*Log(%d/2^53)) = %v with room to spare", i, c, m, r)
+		}
+	}
+	const angleSpan = 1 << (53 - angleBits) // integers per angle cell
+	checkAngle := func(m uint64) {
+		t.Helper()
+		if m >= 1<<53 {
+			return
+		}
+		k := m / angleSpan
+		if c, a := angleCells[k], angle(m); !(c[0] <= max(a-slack, 0) && a+slack <= c[1]) {
+			t.Fatalf("angle cell %d = %v does not hold |Cos(2*Pi*%d/2^53)| = %v with room to spare", k, c, m, a)
+		}
+	}
+
+	for i := range radiusCells {
+		lo, hi := radiusStart(i), radiusStart(i+1)-1
+		for _, m := range []uint64{lo - 1, lo, lo + 1, hi - 1, hi, hi + 1} {
+			for _, c := range []int{i - 1, i, i + 1} {
+				if c >= 0 && c < len(radiusCells) {
+					checkRadius(c, m)
+				}
+			}
+		}
+	}
+	for k := range uint64(len(angleCells)) {
+		lo, hi := k*angleSpan, (k+1)*angleSpan-1
+		for _, m := range []uint64{lo - 1, lo, lo + 1, hi - 1, hi, hi + 1} {
+			checkAngle(m)
+		}
+	}
+	for _, quarter := range []uint64{1 << 51, 1 << 52, 3 << 51} {
+		for m := quarter - 4096; m <= quarter+4096; m++ {
+			checkAngle(m)
+		}
+	}
+
+	rng := New(0x5107)
+	for range 1 << 20 {
+		i := rng.Intn(len(radiusCells))
+		m1 := radiusStart(i) + rng.Uint64()%(radiusStart(i+1)-radiusStart(i))
+		m2 := rng.Uint64() >> 11
+		checkRadius(i, m1)
+		checkAngle(m2)
+		x1, x2 := m1<<11|rng.Uint64()>>53, m2<<11|rng.Uint64()>>53
+		for _, eps := range []float64{0.35, 1} {
+			if lo, hi := slowJitterRange(x1, x2, eps); !(lo <= slowJitterOf(x1, x2, eps) && slowJitterOf(x1, x2, eps) <= hi) {
+				t.Fatalf("slowJitterRange(%#x, %#x, %v) = [%v, %v] misses %v", x1, x2, eps, lo, hi, slowJitterOf(x1, x2, eps))
+			}
+		}
+	}
+
+	for _, eps := range []float64{0, 0.003, 0.007, 0.15, 0.35, 1} {
+		for seed := range uint64(3_000_000) {
+			r := New(seed)
+			x1, x2 := r.Uint64(), r.Uint64()
+			lo, hi := SlowJitterRange(seed, eps)
+			if wantLo, wantHi := slowJitterRange(x1, x2, eps); lo != wantLo || hi != wantHi {
+				t.Fatalf("SlowJitterRange(%d, %v) = [%v, %v], but New(%d) draws [%v, %v]", seed, eps, lo, hi, seed, wantLo, wantHi)
+			}
+			r = New(seed)
+			if j := r.SlowJitter(eps); !(lo <= j && j <= hi) {
+				t.Fatalf("SlowJitterRange(%d, %v) = [%v, %v] misses SlowJitter %v", seed, eps, lo, hi, j)
+			}
+		}
+	}
+
+	// u1 = 0, which NormFloat64 redraws; 1/2^53 and 63/2^53, which no
+	// radius cell covers; and 64/2^53, the first that one does.
+	for _, m1 := range []uint64{0, 1, 63, 64} {
+		for _, eps := range []float64{0, 0.007, 0.35, 1} {
+			x1, x2 := m1<<11|0x7ff, uint64(0x9e3779b97f4a7c15)
+			lo, hi := slowJitterRange(x1, x2, eps)
+			if m1 < 64 && (lo != 1 || hi != SlowJitterMax(eps)) {
+				t.Errorf("slowJitterRange(u1 = %d/2^53, %v) = [%v, %v], want the fallback [1, %v]", m1, eps, lo, hi, SlowJitterMax(eps))
+			}
+			if j := slowJitterOf(x1, x2, eps); m1 > 0 && !(lo <= j && j <= hi) {
+				t.Errorf("slowJitterRange(u1 = %d/2^53, %v) = [%v, %v] misses %v", m1, eps, lo, hi, j)
+			}
+			if m1 == 64 && eps > 0 && lo == 1 {
+				t.Errorf("slowJitterRange(u1 = 64/2^53, %v) = [%v, %v] fell back", eps, lo, hi)
+			}
+		}
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%50) + 1
@@ -211,6 +340,19 @@ func BenchmarkNormFloat64(b *testing.B) {
 	var sum float64
 	for range b.N {
 		sum += r.NormFloat64()
+	}
+	sinkFloat = sum
+}
+
+// BenchmarkSlowJitterRange bounds one persistent jitter factor of Fig. 5's
+// large-message amplitude per operation from its seed, as Fig. 5 bounds
+// the factors it does not draw; compare BenchmarkNormFloat64.
+func BenchmarkSlowJitterRange(b *testing.B) {
+	b.ReportAllocs()
+	var sum float64
+	for i := range b.N {
+		lo, hi := SlowJitterRange(uint64(i), 0.35)
+		sum += hi - lo
 	}
 	sinkFloat = sum
 }
