@@ -36,16 +36,15 @@ staticcheck:
 		echo "lint: staticcheck not installed, skipping (CI enforces it)"; \
 	fi
 
-# The in-repo analysis suite: determinism, detflow, ctxflow, canonkey,
-# lockorder, goroleak, atomicfield, unitsafe, errwrap. Built from source
-# every run (it is part of the module) and executed by go vet, which
-# handles export data, fact propagation between packages (vetx files)
-# and caching.
+# The in-repo analysis suite: detflow, ctxflow, lockorder, goroleak,
+# atomicfield, unitsafe, errwrap. Built from source every run (it is
+# part of the module) and executed by go vet, which handles export data,
+# fact propagation between packages (vetx files) and caching.
 clusterlint:
 	$(GO) build -o bin/clusterlint ./cmd/clusterlint
 	$(GO) vet -vettool=$(abspath bin/clusterlint) ./...
 
-# Machine-readable lint: the same nine analyzers, emitting one JSON
+# Machine-readable lint: the same seven analyzers, emitting one JSON
 # object per package ({"pkg": {"analyzer": [diagnostics]}}) including
 # suppressed findings with their //lint:allow justifications. Exits 0;
 # consumers filter on "suppressed": false.

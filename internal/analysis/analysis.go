@@ -6,8 +6,9 @@
 // analyzers, test them against fixtures (analysistest), and run them
 // under `go vet -vettool` (vetdriver).
 //
-// The analyzers themselves live in subpackages (determinism, ctxflow,
-// canonkey, unitsafe, errwrap) and are assembled by the suite package.
+// The analyzers themselves live in subpackages (detflow, ctxflow,
+// lockorder, goroleak, atomicfield, unitsafe, errwrap) and are assembled
+// by the suite package.
 package analysis
 
 import (

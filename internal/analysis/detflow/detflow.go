@@ -1,46 +1,77 @@
-// Package detflow tracks nondeterministic values — wall-clock reads,
-// math/rand draws, map-iteration order — through assignments and call
-// returns, and reports only when one reaches a determinism sink: a
-// canonical encoder, a cache key, or an experiment result. It is the
-// cross-function upgrade of the determinism analyzer: `determinism`
-// bans the sources outright inside simulation packages, while detflow
-// follows the value, so a helper in a non-simulation package that
-// returns a time.Now-derived string is caught at the Canonicalize call
-// one (or many) calls away, via function facts.
+// Package detflow is the determinism analyzer: every figure of the
+// reproduction must regenerate bit-identically from a seed, and cache
+// keys and journal records must stay byte-stable, so simulated results
+// and canonical bytes may depend on nothing but their inputs. It bans
+// the direct sources outright inside the simulation packages, and it
+// tracks nondeterministic values — wall-clock reads, math/rand draws,
+// map-iteration order — through assignments and call returns (across
+// packages, via function facts), reporting where one reaches a sink. A
+// helper in a non-simulation package that returns a time.Now-derived
+// string is caught at the Canonicalize call one (or many) calls away.
 package detflow
 
 import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"regexp"
 	"strings"
 
 	"clustereval/internal/analysis"
 )
 
-// Analyzer reports nondeterministic values reaching canonical encoders,
-// cache keys, or experiment results, anywhere in the module.
+// Analyzer reports nondeterminism sources in the simulation packages
+// and nondeterministic values reaching canonical encoders, experiment
+// results or emitted bytes, anywhere in the module.
 var Analyzer = &analysis.Analyzer{
 	Name: "detflow",
-	Doc: `flag nondeterministic values that reach canonical encoders or results
+	Doc: `forbid nondeterminism in simulated results and canonical bytes
 
-A cache key or canonical encoding derived from time.Now, math/rand, or
-Go's randomized map iteration order differs between runs: cache hits
-become misses, golden files churn, and replicated journals diverge.
-This analyzer taints such values and follows them through assignments
-and function returns (via facts, so the source may sit in another
-package), reporting only when a tainted value reaches:
+Simulated results must be bit-reproducible from a seed (the paper's
+figures are regenerated as golden CSVs), and a cache key, canonical
+encoding or journal record that differs between runs turns cache hits
+into misses, churns golden files and diverges replicated journals.
 
-  - a call to an in-module Canonical*/**CacheKey* function;
+Inside the simulation packages this analyzer bans the sources outright:
+
+  - calls to time.Now, time.Since, time.Sleep, time.After, time.AfterFunc,
+    time.Tick, time.NewTimer and time.NewTicker (in _test.go files only
+    Now and Since are reported: timers are legitimate test
+    synchronization, wall-clock timestamps in assertions are not);
+  - any import of math/rand or math/rand/v2: randomness comes from
+    internal/xrand, whose generators are seeded, splittable and
+    journal-stable.
+
+Anywhere in the module it taints values derived from time.Now, math/rand
+or Go's randomized map iteration order, follows them through
+assignments and function returns (via facts, so the source may sit in
+another package), and reports when a tainted value reaches:
+
+  - a call to an in-module canonical function: one whose name marks it
+    as part of an encoding path (Canonical*, Normalize, *CacheKey*,
+    *Hash*, encode*, Fingerprint* and friends);
   - a composite literal or field write of an internal/experiment
-    *Result type.
+    *Result type;
+  - for map iteration order only: an output call (print, write, hash,
+    encode, error text) in a simulation package or in a canonical
+    function of the packages that produce canonical bytes
+    (internal/experiment, internal/faultsim, internal/journal,
+    internal/service), or the results of such a canonical function.
+    fmt.Sprint* and fmt.Appendf pass the taint on; storing into a map by
+    key does not taint the map.
+
+Canonical functions must also not format a float with %v or %g: the
+rendering is shortest-representation, which changes bytes when a
+refactor changes intermediate rounding. Use strconv.FormatFloat with an
+explicit precision, JSON encoding of a struct field, or an integer
+encoding.
 
 Sorting cleanses: data that flows through sort.*/slices.Sort* is the
 sanctioned collect-sort-emit idiom and is not reported. Injected clocks
-(package variables or fields bound to time.Now) taint exactly like
-time.Now itself — injection makes wall-clock reads auditable and
-testable, not deterministic. A site that genuinely wants wall-clock in
-its output carries '//lint:allow detflow <justification>'.`,
+(package variables or fields bound to time.Now) are how wall-clock-only
+sites (host-kernel timing, metrics timestamps) stay auditable at one
+declaration; they taint exactly like time.Now itself. As a last resort
+a site carries '//lint:allow detflow <justification>'.`,
 	Run:       run,
 	FactTypes: []analysis.Fact{&TaintFact{}},
 }
@@ -54,9 +85,46 @@ type TaintFact struct {
 // AFact marks TaintFact as a fact.
 func (*TaintFact) AFact() {}
 
+// canonName marks functions on a canonical-encoding path by name.
+var canonName = regexp.MustCompile(`(?i)(canonic|normali[sz]e|cache[_]?key|speckey|fingerprint|hash|encode)`)
+
+// bannedTime are the time package functions that read or depend on the
+// wall clock. The value records whether the call stays banned even in
+// _test.go files.
+var bannedTime = map[string]bool{
+	"Now":       true,
+	"Since":     true,
+	"Sleep":     false,
+	"After":     false,
+	"AfterFunc": false,
+	"Tick":      false,
+	"NewTimer":  false,
+	"NewTicker": false,
+}
+
+// outputs are callee names that turn a value into observable bytes:
+// formatted printing, error text, io writes, and hash/encoder feeding.
+var outputs = map[string]bool{
+	"Print": true, "Printf": true, "Println": true,
+	"Fprint": true, "Fprintf": true, "Fprintln": true, "Errorf": true,
+	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
+	"Sum": true, "Sum256": true, "Encode": true, "Marshal": true,
+}
+
+// mapOrder is the source name of map-iteration taint. Every Why ends in
+// the name of its root source, so a value carries map order exactly when
+// its Why ends in mapOrder.
+const mapOrder = "map iteration order"
+
 func run(pass *analysis.Pass) error {
-	if _, inModule := analysis.RelPkgPath(pass.Pkg.Path()); !inModule {
+	rel, inModule := analysis.RelPkgPath(pass.Pkg.Path())
+	if !inModule {
 		return nil
+	}
+	sim := analysis.UnderAny(rel, analysis.SimPackages)
+	canon := analysis.UnderAny(rel, analysis.CanonPackages)
+	if sim {
+		checkDirectSources(pass)
 	}
 
 	clockVars := collectClockVars(pass)
@@ -87,10 +155,10 @@ func run(pass *analysis.Pass) error {
 			}
 			t := newTainter(pass, clockVars, localTaint)
 			t.analyze(fd)
-			if why, ok := t.returnsTainted(fd); ok {
-				localTaint[fn] = why
-				changed = true
-			}
+			t.taintedReturns(fd, func(_ ast.Node, why string) bool {
+				localTaint[fn], changed = why, true
+				return false
+			})
 		}
 	}
 	for fn, why := range localTaint {
@@ -102,9 +170,39 @@ func run(pass *analysis.Pass) error {
 	for _, fd := range fns {
 		t := newTainter(pass, clockVars, localTaint)
 		t.analyze(fd)
-		t.checkSinks(fd)
+		t.checkSinks(fd, sim, canon && canonName.MatchString(fd.Name.Name))
 	}
 	return nil
+}
+
+// checkDirectSources reports the sources banned outright in a
+// simulation package: math/rand imports and wall-clock or timer calls.
+func checkDirectSources(pass *analysis.Pass) {
+	for _, file := range pass.Files {
+		isTest := pass.IsTestFile(file.Pos())
+		for _, imp := range file.Imports {
+			if path := strings.Trim(imp.Path.Value, `"`); path == "math/rand" || path == "math/rand/v2" {
+				pass.Reportf(imp.Pos(),
+					"import of %s in a simulation package: use the seeded generators in internal/xrand", path)
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fn := pass.PkgFunc(call)
+			if fn == nil || fn.Pkg().Path() != "time" {
+				return true
+			}
+			if inTests, banned := bannedTime[fn.Name()]; banned && (inTests || !isTest) {
+				pass.Reportf(call.Pos(),
+					"call to time.%s in a simulation package: results must depend only on the spec and seed (inject a clock for wall-clock-only sites)",
+					fn.Name())
+			}
+			return true
+		})
+	}
 }
 
 // collectClockVars finds the injected-clock bindings: package variables
@@ -210,8 +308,8 @@ func (t *tainter) visit(n ast.Node) bool {
 	case *ast.RangeStmt:
 		// Go randomizes map iteration order: the loop variables carry it.
 		if t.pass.IsMapType(n.X) {
-			t.taintLHS(n.Key, "map iteration order")
-			t.taintLHS(n.Value, "map iteration order")
+			t.taintLHS(n.Key, mapOrder)
+			t.taintLHS(n.Value, mapOrder)
 		}
 	case *ast.AssignStmt:
 		if len(n.Lhs) == len(n.Rhs) {
@@ -260,8 +358,12 @@ func (t *tainter) visit(n ast.Node) bool {
 
 // taintLHS marks the object behind an assignment target. Index and
 // selector targets taint their base (storing a tainted element taints
-// the container).
+// the container), except a map store: a map is unordered, so storing
+// by key carries no iteration order into it.
 func (t *tainter) taintLHS(lhs ast.Expr, why string) {
+	if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && t.pass.IsMapType(ix.X) {
+		return
+	}
 	obj := t.baseObj(lhs)
 	if obj == nil || obj.Name() == "_" || t.cleansed[obj] {
 		return
@@ -388,9 +490,11 @@ func (t *tainter) calleeTaint(fn *types.Func) (string, bool) {
 	return "", false
 }
 
-// returnsTainted reports whether fd's own return values (not those of
-// nested function literals) are tainted.
-func (t *tainter) returnsTainted(fd *ast.FuncDecl) (string, bool) {
+// taintedReturns calls visit with each tainted value fd itself returns
+// (a result expression, or the return statement for a tainted named
+// result at a bare return), skipping nested function literals, until
+// visit returns false.
+func (t *tainter) taintedReturns(fd *ast.FuncDecl, visit func(at ast.Node, why string) bool) {
 	var named []types.Object
 	if fd.Type.Results != nil {
 		for _, field := range fd.Type.Results.List {
@@ -401,10 +505,9 @@ func (t *tainter) returnsTainted(fd *ast.FuncDecl) (string, bool) {
 			}
 		}
 	}
-	var why string
-	found := false
+	more := true
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if found {
+		if !more {
 			return false
 		}
 		switch n := n.(type) {
@@ -412,15 +515,15 @@ func (t *tainter) returnsTainted(fd *ast.FuncDecl) (string, bool) {
 			return false
 		case *ast.ReturnStmt:
 			for _, r := range n.Results {
-				if w, ok := t.exprTaint(r); ok {
-					why, found = w, true
+				if w, ok := t.exprTaint(r); ok && !visit(r, w) {
+					more = false
 					return false
 				}
 			}
 			if len(n.Results) == 0 {
 				for _, obj := range named {
-					if w, ok := t.tainted[obj]; ok {
-						why, found = w, true
+					if w, ok := t.tainted[obj]; ok && !visit(n, w) {
+						more = false
 						return false
 					}
 				}
@@ -428,16 +531,25 @@ func (t *tainter) returnsTainted(fd *ast.FuncDecl) (string, bool) {
 		}
 		return true
 	})
-	return why, found
 }
 
-// checkSinks walks fd for determinism sinks fed by tainted values.
-func (t *tainter) checkSinks(fd *ast.FuncDecl) {
+// checkSinks walks fd for determinism sinks fed by tainted values. In a
+// simulation package, or in a canonical function of the canonical-bytes
+// packages (canonFn), map order must not reach an output call either; a
+// canonical function must also not return it, nor format a float with
+// %v or %g.
+func (t *tainter) checkSinks(fd *ast.FuncDecl, sim, canonFn bool) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
+			if canonFn {
+				checkFloatVerbs(t.pass, fd.Name.Name, n)
+			}
 			sink, ok := t.sinkCall(n)
 			if !ok {
+				if (sim || canonFn) && outputs[analysis.CalleeName(n)] {
+					t.checkOrderOutput(fd.Name.Name, n)
+				}
 				return true
 			}
 			for _, arg := range n.Args {
@@ -490,10 +602,64 @@ func (t *tainter) checkSinks(fd *ast.FuncDecl) {
 		}
 		return true
 	})
+	if canonFn {
+		t.taintedReturns(fd, func(at ast.Node, why string) bool {
+			if strings.HasSuffix(why, mapOrder) {
+				t.pass.Reportf(at.Pos(),
+					"map iteration order is random but reaches the result of %s: canonical encodings must iterate in sorted order (collect the keys, sort, then emit)",
+					fd.Name.Name)
+			}
+			return true
+		})
+	}
 }
 
-// sinkCall recognizes in-module canonical encoders and cache-key
-// builders by name: Canonicalize, Canonical*, *CacheKey*.
+// checkOrderOutput reports an output call in fn that emits map order.
+func (t *tainter) checkOrderOutput(fn string, call *ast.CallExpr) {
+	for _, arg := range call.Args {
+		if why, ok := t.exprTaint(arg); ok && strings.HasSuffix(why, mapOrder) {
+			t.pass.Reportf(call.Pos(),
+				"map iteration order is random but reaches %s in %s: collect the keys, sort, then emit",
+				analysis.CalleeName(call), fn)
+			return
+		}
+	}
+}
+
+// checkFloatVerbs reports %v and %g verbs whose operand is a float in a
+// fmt call of canonical function fn: shortest-representation float
+// rendering is not a stable canonical encoding.
+func checkFloatVerbs(pass *analysis.Pass, fn string, call *ast.CallExpr) {
+	callee := pass.PkgFunc(call)
+	if callee == nil || callee.Pkg().Path() != "fmt" {
+		return
+	}
+	fmtArg, ok := analysis.FormatCallArg[callee.Name()]
+	if !ok {
+		return
+	}
+	format, args, ok := analysis.FormatLiteral(call, fmtArg)
+	if !ok {
+		return
+	}
+	for _, v := range analysis.ParseVerbs(format) {
+		if (v.Verb == 'v' || v.Verb == 'g') && v.ArgIndex < len(args) && isFloat(pass.TypesInfo.TypeOf(args[v.ArgIndex])) {
+			pass.Reportf(args[v.ArgIndex].Pos(),
+				"%s formats a float with %%%c: use a fixed-width encoding (strconv.FormatFloat or struct JSON) so canonical bytes survive refactors",
+				fn, v.Verb)
+		}
+	}
+}
+
+func isFloat(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
+}
+
+// sinkCall recognizes in-module canonical functions by name.
 func (t *tainter) sinkCall(call *ast.CallExpr) (string, bool) {
 	fn := t.pass.PkgFunc(call)
 	if fn == nil {
@@ -505,9 +671,8 @@ func (t *tainter) sinkCall(call *ast.CallExpr) (string, bool) {
 	if _, in := analysis.RelPkgPath(fn.Pkg().Path()); !in {
 		return "", false
 	}
-	name := fn.Name()
-	if strings.HasPrefix(name, "Canonical") || strings.Contains(name, "CacheKey") {
-		return fn.Pkg().Name() + "." + name, true
+	if canonName.MatchString(fn.Name()) {
+		return fn.Pkg().Name() + "." + fn.Name(), true
 	}
 	return "", false
 }

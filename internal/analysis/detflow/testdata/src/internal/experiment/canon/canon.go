@@ -1,4 +1,6 @@
-package experiment
+// Fixture: internal/experiment/canon sits under internal/experiment, so
+// it is both a simulation package and a canonical-bytes package.
+package canon
 
 import (
 	"fmt"
@@ -11,8 +13,8 @@ import (
 // wrong: unsorted map iteration and shortest-representation floats.
 func CanonicalKey(params map[string]float64) string {
 	var b strings.Builder
-	for k, v := range params { // want `CanonicalKey ranges over a map`
-		fmt.Fprintf(&b, "%s=%v;", k, v) // want `CanonicalKey formats a float with %v`
+	for k, v := range params {
+		fmt.Fprintf(&b, "%s=%v;", k, v) // want `map iteration order is random but reaches Fprintf in CanonicalKey` `CanonicalKey formats a float with %v`
 	}
 	return b.String()
 }
@@ -40,19 +42,19 @@ func normalizeWeights(total float64) string {
 	return fmt.Sprintf("total=%g", total) // want `normalizeWeights formats a float with %g`
 }
 
-// debugDump is not canon-named, so its map range is the determinism
-// analyzer's business, not canonkey's.
+// debugDump is not canon-named, but this is a simulation package, where
+// map order must not reach printed output either.
 func debugDump(params map[string]float64) {
 	for k, v := range params {
-		fmt.Println(k, v)
+		fmt.Println(k, v) // want `map iteration order is random but reaches Println in debugDump`
 	}
 }
 
 // encodeLegacy demonstrates a justified suppression.
 func encodeLegacy(params map[string]string) string {
 	var b strings.Builder
-	//lint:allow canonkey keys are single-element maps in the legacy path
 	for k, v := range params {
+		//lint:allow detflow keys are single-element maps in the legacy path
 		b.WriteString(k + "=" + v)
 	}
 	return b.String()

@@ -2,11 +2,13 @@
 // canonical encoder and the experiment result — plus the cleansing and
 // suppression escape hatches. The sinks here are the fixture's own
 // Canonicalize and Result; detflow matches them by name and package,
-// exactly as it matches the production ones.
+// exactly as it matches the production ones. internal/experiment is a
+// simulation package, so each direct source here is also banned on its
+// own line.
 package experiment
 
 import (
-	"math/rand"
+	"math/rand" // want `import of math/rand in a simulation package`
 	"sort"
 	"strconv"
 	"strings"
@@ -34,7 +36,7 @@ func log(string) {}
 
 // Direct feeds a wall-clock read straight into the encoder.
 func Direct() string {
-	return Canonicalize(time.Now().String()) // want `nondeterministic value \(time\.Now\) reaches canonical encoder experiment\.Canonicalize`
+	return Canonicalize(time.Now().String()) // want `nondeterministic value \(time\.Now\) reaches canonical encoder experiment\.Canonicalize` `call to time\.Now in a simulation package`
 }
 
 // OneCallDeep is the seeded acceptance case: the source lives one call
@@ -51,7 +53,7 @@ func TwoCallsDeep() string {
 
 // localStamp seeds the same-package fixpoint.
 func localStamp() string {
-	return time.Now().String()
+	return time.Now().String() // want `call to time\.Now in a simulation package`
 }
 
 // LocalHelper reaches the sink through a same-package helper.
@@ -61,7 +63,7 @@ func LocalHelper() string {
 
 // Chained walks the taint through two assignments.
 func Chained() string {
-	t := time.Now()
+	t := time.Now() // want `call to time\.Now in a simulation package`
 	s := t.String()
 	return Canonicalize(s) // want `nondeterministic value \(time\.Now\) reaches canonical encoder`
 }
@@ -98,7 +100,7 @@ func MapSorted(m map[string]float64) string {
 // TaintedResult stores a wall-clock string in the result payload.
 func TaintedResult() Result {
 	return Result{
-		Summary: time.Now().String(), // want `nondeterministic value \(time\.Now\) stored in experiment result Result`
+		Summary: time.Now().String(), // want `nondeterministic value \(time\.Now\) stored in experiment result Result` `call to time\.Now in a simulation package`
 		GBps:    1024,
 	}
 }
@@ -120,7 +122,7 @@ func CleanKey(name string) string {
 
 // HumanOutput sends wall-clock to a non-sink: non-report (sink-gated).
 func HumanOutput() {
-	log(time.Now().String())
+	log(report.Stamp())
 }
 
 // Waived documents a deliberate wall-clock cache key.

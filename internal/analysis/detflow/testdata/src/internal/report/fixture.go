@@ -1,6 +1,8 @@
 // Fixture: taint sources defined in another package. Stamp returns a
 // wall-clock-derived string (its TaintFact is what the experiment
 // fixture's one-call-deep case consumes); Label is deterministic.
+// internal/report is not a simulation package, so its time.Now calls
+// are not banned: nothing in this file may be flagged.
 package report
 
 import "time"

@@ -7,8 +7,8 @@ import (
 )
 
 // FormatCallArg maps fmt-style formatting functions onto the index of
-// their format-string argument. Analyzers that inspect format verbs
-// (canonkey, errwrap) share it.
+// their format-string argument, for detflow's float-verb rule (errwrap
+// checks only fmt.Errorf, whose format comes first).
 var FormatCallArg = map[string]int{
 	"Sprintf": 0, "Errorf": 0, "Printf": 0,
 	"Fprintf": 1, "Appendf": 1,

@@ -11,7 +11,8 @@ const ModulePath = "clustereval"
 
 // SimPackages are the packages whose results feed the paper's golden
 // CSVs: everything here must be bit-reproducible from a seed. The
-// determinism analyzer forbids wall-clock and global-PRNG use in them.
+// detflow analyzer bans wall-clock and global-PRNG use in them, and
+// map-ordered output.
 var SimPackages = []string{
 	"internal/des",
 	"internal/mpisim",
@@ -28,7 +29,7 @@ var SimPackages = []string{
 	// Fleet coordination and load generation are not seed-reproducible
 	// simulations, but they must stay testable under fake clocks: every
 	// wall-clock read goes through an injectable binding (hostNow,
-	// Limiter.now), which is exactly what the determinism analyzer
+	// Limiter.now), which is exactly what the detflow analyzer
 	// enforces.
 	"internal/fleet",
 	"internal/loadgen",
@@ -61,7 +62,7 @@ var CtxPackages = []string{
 
 // CanonPackages are the packages that produce canonical byte streams:
 // cache keys, journal records, and the fault-spec canonicalization they
-// hash. The canonkey analyzer enforces sorted iteration and fixed-width
+// hash. The detflow analyzer enforces sorted iteration and fixed-width
 // encoding inside their canonicalization functions.
 var CanonPackages = []string{
 	"internal/experiment",

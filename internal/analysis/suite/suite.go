@@ -6,9 +6,7 @@ package suite
 import (
 	"clustereval/internal/analysis"
 	"clustereval/internal/analysis/atomicfield"
-	"clustereval/internal/analysis/canonkey"
 	"clustereval/internal/analysis/ctxflow"
-	"clustereval/internal/analysis/determinism"
 	"clustereval/internal/analysis/detflow"
 	"clustereval/internal/analysis/errwrap"
 	"clustereval/internal/analysis/goroleak"
@@ -17,15 +15,12 @@ import (
 )
 
 // Analyzers is the full clusterlint suite, ordered roughly from the
-// broadest invariant (determinism) to the most local (errwrap). The
-// concurrency analyzers (lockorder, goroleak, atomicfield) and the
-// taint-based detflow compute cross-function facts, so they sit after
-// the purely local checks.
+// broadest invariant (determinism, detflow) to the most local (errwrap).
+// The concurrency analyzers (lockorder, goroleak, atomicfield) and the
+// taint-based detflow compute cross-function facts.
 var Analyzers = []*analysis.Analyzer{
-	determinism.Analyzer,
 	detflow.Analyzer,
 	ctxflow.Analyzer,
-	canonkey.Analyzer,
 	lockorder.Analyzer,
 	goroleak.Analyzer,
 	atomicfield.Analyzer,

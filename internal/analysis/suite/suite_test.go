@@ -70,7 +70,7 @@ func writeTree(t *testing.T, dir string) func(rel, content string) {
 // canonicalization function, an inconsistent lock pair, an exit-less
 // goroutine and a mixed atomic/plain field — into a scratch module with
 // this module's path, and requires a non-zero go vet exit naming every
-// analyzer.
+// analyzer and both determinism findings.
 func TestSeededViolationsFail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the vettool and a scratch module")
@@ -144,8 +144,9 @@ func (c *counter) read() int64 { return c.n }
 		t.Fatal("go vet exited 0 over seeded violations")
 	}
 	for _, needle := range []string{
-		"[determinism]", "[canonkey]",
-		"time.Now", "map iteration order is random",
+		"[detflow]",
+		"call to time.Now in a simulation package",
+		"map iteration order is random but reaches Fprintf in Canonicalize",
 		"[lockorder]", "inconsistent lock-pair ordering",
 		"[goroleak]", "no reachable exit path",
 		"[atomicfield]", "accessed via sync/atomic elsewhere",
@@ -177,7 +178,7 @@ import "time"
 func Stamp() time.Time { return time.Now() }
 
 func Waived() time.Time {
-	//lint:allow determinism scratch fixture exercising the JSON suppressed field
+	//lint:allow detflow scratch fixture exercising the JSON suppressed field
 	return time.Now()
 }
 `)
@@ -226,7 +227,7 @@ func Waived() time.Time {
 	}
 	var live, waived int
 	for _, d := range all {
-		if d.Analyzer != "determinism" || d.File == "" || d.Line == 0 || d.Posn == "" {
+		if d.Analyzer != "detflow" || d.File == "" || d.Line == 0 || d.Posn == "" {
 			t.Errorf("malformed diagnostic: %+v", d)
 		}
 		if d.Suppressed {
@@ -239,16 +240,14 @@ func Waived() time.Time {
 		}
 	}
 	if live != 1 || waived != 1 {
-		t.Errorf("want 1 live + 1 suppressed determinism finding, got %d live %d suppressed:\n%+v", live, waived, all)
+		t.Errorf("want 1 live + 1 suppressed detflow finding, got %d live %d suppressed:\n%+v", live, waived, all)
 	}
 }
 
 // TestDetflowCatchesCrossFunction is the acceptance case for the taint
 // engine: the wall-clock read hides one call away, in a package outside
-// the determinism analyzer's simulation scope, and only surfaces where
-// its value reaches the canonical encoder. The old determinism analyzer
-// provably misses it — the test asserts detflow fires and determinism
-// stays silent.
+// the simulation scope where time.Now is banned outright, and only
+// surfaces where its value reaches the canonical encoder.
 func TestDetflowCatchesCrossFunction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the vettool and a scratch module")
@@ -258,16 +257,16 @@ func TestDetflowCatchesCrossFunction(t *testing.T) {
 	scratch := t.TempDir()
 	write := writeTree(t, scratch)
 	write("go.mod", "module clustereval\n\ngo 1.22\n")
-	// internal/report is not a simulation package: determinism never
-	// looks at it, and the file below has no time call anyway.
+	// internal/report is not a simulation package, so its time.Now call
+	// is not banned.
 	write("internal/report/stamp.go", `package report
 
 import "time"
 
 func Stamp() string { return time.Now().Format(time.RFC3339) }
 `)
-	// internal/experiment IS in the determinism scope, but this file
-	// contains no direct nondeterminism source — only the call chain.
+	// internal/experiment is a simulation package, but this file contains
+	// no direct nondeterminism source — only the call chain.
 	write("internal/experiment/key.go", `package experiment
 
 import (
@@ -291,8 +290,5 @@ func Key() string { return Canonicalize("spec", report.Stamp()) }
 		if !strings.Contains(stderr, needle) {
 			t.Errorf("vet output missing %q:\n%s", needle, stderr)
 		}
-	}
-	if strings.Contains(stderr, "[determinism]") {
-		t.Errorf("determinism analyzer unexpectedly fired on the cross-function case:\n%s", stderr)
 	}
 }

@@ -2,8 +2,8 @@
 //
 // Simulated processes are ordinary Go functions running in goroutines, but
 // only one process executes at a time: a process runs until it blocks on a
-// Delay, a Cond, or a Resource, then hands control to the engine's
-// scheduler, which advances the virtual clock to the next scheduled event.
+// Delay or a Cond, then hands control to the engine's scheduler, which
+// advances the virtual clock to the next scheduled event.
 // Events at equal times fire in scheduling order, so a simulation is
 // bit-reproducible — a property every figure of the reproduction depends
 // on, proven by the differential harness (diff_test.go and
@@ -214,7 +214,6 @@ func (e *Engine) RunContext(ctx context.Context) error {
 	}
 	if e.alive > 0 {
 		names := make([]string, 0, len(e.waiting))
-		//lint:allow determinism names are sorted below before the error is formatted
 		for p, what := range e.waiting {
 			names = append(names, fmt.Sprintf("%s (on %s)", p.Name, what))
 		}
@@ -315,39 +314,3 @@ func (c *Cond) NumWaiters() int { return len(c.waiters) - c.head }
 // waitersCap reports the backing-array size of the waiter slice, for the
 // regression test pinning Signal's bounded-growth contract.
 func (c *Cond) waitersCap() int { return cap(c.waiters) }
-
-// Resource is a counted resource (a semaphore) with FIFO fairness, used to
-// model entities with finite concurrency such as network injection ports.
-type Resource struct {
-	cap   int
-	inUse int
-	cond  *Cond
-}
-
-// NewResource returns a resource with the given capacity.
-func (e *Engine) NewResource(name string, capacity int) *Resource {
-	if capacity <= 0 {
-		panic("des: resource capacity must be positive")
-	}
-	return &Resource{cap: capacity, cond: e.NewCond("resource " + name)}
-}
-
-// Acquire blocks p until a unit of the resource is free, then takes it.
-func (r *Resource) Acquire(p *Proc) {
-	for r.inUse >= r.cap {
-		r.cond.Wait(p)
-	}
-	r.inUse++
-}
-
-// Release returns a unit of the resource and wakes one waiter.
-func (r *Resource) Release() {
-	if r.inUse <= 0 {
-		panic("des: release of an idle resource")
-	}
-	r.inUse--
-	r.cond.Signal()
-}
-
-// InUse reports the number of currently held units.
-func (r *Resource) InUse() int { return r.inUse }

@@ -156,67 +156,6 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-func TestResourceSerializes(t *testing.T) {
-	e := New()
-	r := e.NewResource("link", 1)
-	var finish []units.Seconds
-	for i := 0; i < 3; i++ {
-		e.Spawn("u", func(p *Proc) {
-			r.Acquire(p)
-			p.Delay(10)
-			r.Release()
-			finish = append(finish, p.Now())
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []units.Seconds{10, 20, 30}
-	for i, w := range want {
-		if finish[i] != w {
-			t.Errorf("finish[%d] = %v, want %v", i, finish[i], w)
-		}
-	}
-}
-
-func TestResourceCapacityTwo(t *testing.T) {
-	e := New()
-	r := e.NewResource("ports", 2)
-	var finish []units.Seconds
-	for i := 0; i < 4; i++ {
-		e.Spawn("u", func(p *Proc) {
-			r.Acquire(p)
-			p.Delay(10)
-			r.Release()
-			finish = append(finish, p.Now())
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []units.Seconds{10, 10, 20, 20}
-	for i, w := range want {
-		if finish[i] != w {
-			t.Errorf("finish[%d] = %v, want %v", i, finish[i], w)
-		}
-	}
-}
-
-func TestResourceMisuse(t *testing.T) {
-	e := New()
-	r := e.NewResource("x", 1)
-	e.Spawn("bad", func(p *Proc) { r.Release() })
-	if err := e.Run(); err == nil {
-		t.Error("release of idle resource not reported")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("zero-capacity resource accepted")
-		}
-	}()
-	e.NewResource("y", 0)
-}
-
 func TestSpawnDuringRun(t *testing.T) {
 	e := New()
 	var childEnd units.Seconds

@@ -22,7 +22,8 @@ import (
 //
 // The workload deliberately crosses every scheduling feature: quantized
 // delays (equal-timestamp batches), mid-run spawns, a shared Cond with
-// signal and broadcast wakers, and a capacity-limited Resource.
+// signal and broadcast wakers, and a two-slot section whose waiters queue
+// on a second Cond.
 func runScripted(t *testing.T, eng *Engine, seed uint64) []string {
 	t.Helper()
 	var trace []string
@@ -30,7 +31,7 @@ func runScripted(t *testing.T, eng *Engine, seed uint64) []string {
 		trace = append(trace, fmt.Sprintf("t=%.6f %s %s", float64(p.Now()), p.Name, what))
 	}
 	cond := eng.NewCond("diff")
-	res := eng.NewResource("diff", 2)
+	slots, held := eng.NewCond("resource diff"), 0
 	const nProcs = 8
 
 	var spawnWorker func(name string, r xrand.Rand, depth int)
@@ -44,10 +45,14 @@ func runScripted(t *testing.T, eng *Engine, seed uint64) []string {
 					p.Delay(d)
 					log(p, fmt.Sprintf("delay[%d]", s))
 				case 2:
-					res.Acquire(p)
+					for held >= 2 {
+						slots.Wait(p)
+					}
+					held++
 					log(p, "acquired")
 					p.Delay(units.Seconds(float64(1+r.Intn(4)) * 0.25))
-					res.Release()
+					held--
+					slots.Signal()
 					log(p, "released")
 				case 3:
 					if depth < 2 && r.Intn(2) == 0 {
@@ -99,7 +104,7 @@ const tracesGolden = "testdata/traces.golden"
 // TestDifferentialEngines is the engine-level half of the differential
 // harness: the calendar-queue fast path must schedule bit-identically to
 // the reference heap on seeded workloads covering delays, equal-time
-// batches, mid-run spawns, Cond wake-ups, and Resource contention. The
+// batches, mid-run spawns, Cond wake-ups, and two-slot contention. The
 // trace of New's engine must also hash to the committed golden, so the
 // desrefqueue build, where New and NewReference share one queue, still
 // checks the reference heap against known-good bytes.

@@ -17,7 +17,7 @@ import (
 // diffCases is one modest spec per registered kind — small enough that the
 // full kinds × seeds × two-schedulers matrix stays in test-suite budget,
 // but every kind still routes through the DES engine's full feature set
-// (mpisim collectives, Cond wake-ups, Resource contention).
+// (mpisim collectives, Cond wake-ups).
 func diffCases(t *testing.T) []experiment.Spec {
 	t.Helper()
 	byKind := map[string]experiment.Spec{

@@ -167,17 +167,3 @@ func (r *Ring) Lookup(key string) (shard string, ok bool) {
 	}
 	return "", false
 }
-
-// Owner returns the shard that owns key when every shard is live — the
-// key's home placement, independent of current liveness. ok is false on
-// an empty ring.
-func (r *Ring) Owner(key string) (shard string, ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 {
-		return "", false
-	}
-	h := hashKey(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	return r.points[i%len(r.points)].shard, true
-}

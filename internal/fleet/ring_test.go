@@ -119,9 +119,6 @@ func TestRingEmpty(t *testing.T) {
 	if _, ok := r.Lookup("k"); ok {
 		t.Fatal("empty ring claims an owner")
 	}
-	if _, ok := r.Owner("k"); ok {
-		t.Fatal("empty ring claims a home owner")
-	}
 }
 
 // Successors is the replica-placement primitive: it must be
@@ -180,20 +177,5 @@ func TestRingSuccessors(t *testing.T) {
 	}
 	if got := r.Successors("s0", 0); got != nil {
 		t.Fatalf("Successors(s0, 0) = %v, want nil", got)
-	}
-}
-
-func TestRingOwnerIgnoresLiveness(t *testing.T) {
-	r := NewRing(64)
-	r.Add("s0")
-	r.Add("s1")
-	key := "some-canonical-key"
-	home, _ := r.Owner(key)
-	r.SetLive(home, false)
-	if got, _ := r.Owner(key); got != home {
-		t.Fatalf("Owner moved %s -> %s when %s went down; home placement must be liveness-independent", home, got, home)
-	}
-	if got, _ := r.Lookup(key); got == home {
-		t.Fatalf("Lookup still routes to down shard %s", home)
 	}
 }

@@ -7,7 +7,7 @@ import "time"
 // pacing and poll intervals. None of it feeds simulated results. Binding
 // the functions as package variables keeps every wall-clock read
 // auditable at this one declaration — and overridable in tests — which
-// is the injected-clock shape the determinism analyzer asks for.
+// is the injected-clock shape the detflow analyzer asks for.
 var (
 	hostNow   = time.Now
 	hostSince = time.Since

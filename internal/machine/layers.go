@@ -2,6 +2,8 @@ package machine
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"clustereval/internal/units"
 )
@@ -304,10 +306,17 @@ func (m Machine) validateLayers() error {
 	if p.NodeBase < 0 || p.CoreIdle < 0 || p.MemIdle < 0 || p.MemActive < 0 || p.NIC < 0 {
 		return fmt.Errorf("machine %s: negative power rail", m.Name)
 	}
+	// Name every negative rail, sorted: which one a map range meets first
+	// changes from run to run.
+	var negative []string
 	for isa, w := range p.CoreActive {
 		if w < 0 {
-			return fmt.Errorf("machine %s: negative active-core power for %s", m.Name, isa)
+			negative = append(negative, string(isa))
 		}
+	}
+	if len(negative) > 0 {
+		sort.Strings(negative)
+		return fmt.Errorf("machine %s: negative active-core power for %s", m.Name, strings.Join(negative, ", "))
 	}
 	if p.Defined() {
 		if _, ok := p.CoreActive[ISAScalar]; !ok {

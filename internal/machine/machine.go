@@ -293,9 +293,6 @@ func (m Machine) UsableMemory(ranksPerNode int) float64 {
 	return u
 }
 
-// TotalCores returns the core count of the whole machine.
-func (m Machine) TotalCores() int { return m.Nodes * m.Node.Cores() }
-
 // ClusterPeak returns the aggregate DP peak of n nodes.
 func (m Machine) ClusterPeak(n int) units.FlopsPerSecond {
 	return units.FlopsPerSecond(float64(n) * float64(m.Node.DoublePeak()))

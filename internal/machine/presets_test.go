@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -269,5 +270,21 @@ func TestValidateLayerErrors(t *testing.T) {
 				t.Errorf("Validate accepted %s", tc.name)
 			}
 		})
+	}
+}
+
+// TestValidateNamesNegativeRailsInOrder pins the error text when several
+// active-core rails are negative: every one is named, in sorted order,
+// so the message does not depend on map iteration order.
+func TestValidateNamesNegativeRailsInOrder(t *testing.T) {
+	m := CTEArm()
+	m.Power.CoreActive[ISASVE] = -1
+	m.Power.CoreActive[ISANEON] = -2
+	m.Power.CoreActive[ISAScalar] = -3
+	want := fmt.Sprintf("machine %s: negative active-core power for NEON, SVE, scalar", m.Name)
+	for i := 0; i < 20; i++ {
+		if err := m.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("Validate() = %v, want %q", err, want)
+		}
 	}
 }

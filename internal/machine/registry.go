@@ -31,21 +31,6 @@ func Preset(name string) (Machine, bool) {
 	return Machine{}, false
 }
 
-// PresetDefByName resolves name to the full declarative definition, for
-// callers that want the layers rather than the composed Machine.
-func PresetDefByName(name string) (PresetDef, bool) {
-	slug, ok := PresetSlug(name)
-	if !ok {
-		return PresetDef{}, false
-	}
-	for _, p := range presetDefs {
-		if p.Slug == slug {
-			return p, true
-		}
-	}
-	return PresetDef{}, false
-}
-
 // PresetSlug resolves name (slug, alias, or full system name) to the
 // preset's canonical slug. The boolean is false when no preset matches.
 func PresetSlug(name string) (string, bool) {

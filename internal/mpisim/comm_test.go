@@ -237,48 +237,6 @@ func TestReduceScatterPanicsOnArity(t *testing.T) {
 	}
 }
 
-func TestInjectionLimitsSerializeSends(t *testing.T) {
-	// 12 ranks on one node all blocking-send a large message to ranks on
-	// another node. With 6 injection links the sends proceed in two waves;
-	// without limits they all overlap.
-	elapsed := func(links int) units.Seconds {
-		w := newTofuWorld(t, 24, 12)
-		if links > 0 {
-			if err := w.EnableInjectionLimits(links); err != nil {
-				t.Fatal(err)
-			}
-		}
-		err := w.Run(func(c *Comm) {
-			const size = units.Bytes(8 * units.MiB)
-			if c.Rank() < 12 {
-				c.Send(c.Rank()+12, 0, size, nil)
-			} else {
-				c.Recv(c.Rank()-12, 0)
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w.Elapsed()
-	}
-	unlimited := elapsed(0)
-	sixLinks := elapsed(6)
-	oneLink := elapsed(1)
-	if sixLinks < units.Seconds(1.7)*unlimited {
-		t.Errorf("6 links should roughly double the makespan: %v vs %v", sixLinks, unlimited)
-	}
-	if oneLink < units.Seconds(5)*sixLinks {
-		t.Errorf("1 link should serialize far beyond 6 links: %v vs %v", oneLink, sixLinks)
-	}
-}
-
-func TestInjectionLimitsValidation(t *testing.T) {
-	w := newTofuWorld(t, 2, 2)
-	if err := w.EnableInjectionLimits(0); err == nil {
-		t.Error("zero links accepted")
-	}
-}
-
 func TestSubCommTimingStillPhysical(t *testing.T) {
 	// Messages inside a sub-communicator still pay real network costs.
 	w := newTofuWorld(t, 4, 1) // one rank per node

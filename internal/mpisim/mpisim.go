@@ -72,25 +72,6 @@ type World struct {
 	// spans scale by the per-node slowdown, and any operation touching a
 	// failed node aborts the run with a typed *faultsim.NodeFailedError.
 	faults *faultsim.Model
-	// injection, when non-nil, holds one DES resource per node whose
-	// capacity is the node's injection-link count: concurrent blocking
-	// sends from ranks of one node then serialize once the links are
-	// saturated.
-	injection []*des.Resource
-}
-
-// EnableInjectionLimits turns on per-node injection contention: a node has
-// only Network.InjectionLinks concurrent send ports (6 TNIs on TofuD, one
-// on OmniPath), so blocking sends beyond that queue. Call before Run.
-func (w *World) EnableInjectionLimits(links int) error {
-	if links <= 0 {
-		return fmt.Errorf("mpisim: injection links must be positive, got %d", links)
-	}
-	w.injection = make([]*des.Resource, w.fabric.Topo.Nodes())
-	for n := range w.injection {
-		w.injection[n] = w.eng.NewResource(fmt.Sprintf("inject[%d]", n), links)
-	}
-	return nil
 }
 
 // AttachRecorder enables POP-style tracing: every Compute span and every
@@ -289,13 +270,6 @@ func (c *Comm) Compute(d units.Seconds) {
 // it lands.
 func (c *Comm) Send(dst, tag int, bytes units.Bytes, payload interface{}) {
 	start := c.Now()
-	if inj := c.w.injection; inj != nil {
-		// Queue for one of the node's injection links for the duration of
-		// the wire transfer.
-		port := inj[c.Node()]
-		port.Acquire(c.proc)
-		defer port.Release()
-	}
 	t := c.transitTime(dst, bytes)
 	c.deliver(dst, tag, bytes, payload, c.Now()+t)
 	c.proc.Delay(t)

@@ -110,14 +110,6 @@ func (gv *GaugeVec) Set(value string, v float64) {
 	gv.children[value] = v
 }
 
-// Delete removes a child (a shard leaving the fleet takes its series
-// with it).
-func (gv *GaugeVec) Delete(value string) {
-	gv.mu.Lock()
-	defer gv.mu.Unlock()
-	delete(gv.children, value)
-}
-
 // snapshot returns the children sorted by label value.
 func (gv *GaugeVec) snapshot() ([]string, []float64) {
 	gv.mu.Lock()

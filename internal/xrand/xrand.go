@@ -119,21 +119,6 @@ func (r *Rand) NormFloat64() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Jitter returns a multiplicative noise factor 1 + eps*N(0,1), clamped to
-// [1-3eps, 1+3eps] so extreme tails cannot flip the sign of a duration.
-// It is the standard way the simulator models run-to-run variability.
-func (r *Rand) Jitter(eps float64) float64 {
-	j := 1 + eps*r.NormFloat64()
-	lo, hi := 1-3*eps, 1+3*eps
-	if j < lo {
-		return lo
-	}
-	if j > hi {
-		return hi
-	}
-	return j
-}
-
 // SlowJitter returns a one-sided multiplicative noise factor
 // 1 + eps*|N(0,1)|, clamped to [1, 1+3eps]. It models contention and system
 // noise, which can only ever slow an operation down — two-sided noise would

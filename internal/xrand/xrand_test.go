@@ -104,17 +104,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestJitterClamped(t *testing.T) {
-	r := New(17)
-	const eps = 0.05
-	for i := 0; i < 100000; i++ {
-		j := r.Jitter(eps)
-		if j < 1-3*eps-1e-12 || j > 1+3*eps+1e-12 {
-			t.Fatalf("Jitter out of clamp: %v", j)
-		}
-	}
-}
-
 // TestSlowJitterOneSided requires SlowJitter(e) to lie in [1, 1+3e] with
 // no slack, 1+3e rounded at run time as SlowJitter rounds it, at 0.2 and
 // at every amplitude the TofuD fabric draws: its small-message noise of
