@@ -90,8 +90,10 @@ benchdiff-engine:
 # must schedule bit-identically to the reference heap. Runs the
 # engine-level trace comparison, the calq fuzz seeds + oracle tests, the
 # experiment-level result comparison for every registered kind, the
-# topology-aware placement against its sort-based reference, message
-# pricing against the straight-line referenceMessageTime, Fig. 5's
+# topology-aware placement against its sort-based reference, the α of
+# every application job (perfmodel.NewCommCost's per-hop table) against
+# Fabric.Latency summed pair by pair, message pricing against the
+# straight-line referenceMessageTime, Fig. 5's
 # bound-and-bin path (interconnect.Sweep, which draws jitter only when it
 # could move a bin and memoises each route shape's draw-free stage)
 # against the binned referenceSustainedBandwidth, the jitter bounds
@@ -111,9 +113,11 @@ benchdiff-engine:
 # kind's results must hash to testdata/schedulers.golden
 # (internal/experiment) on both queues: the calendar queue in the first
 # run, the reference heap under the tag. The placement oracle also covers
-# the fat-tree shapes where per-leaf seed pricing has edge cases.
+# the fat-tree shapes where per-leaf seed pricing has edge cases, and the
+# tori where idle seed pricing (a convolution of per-dimension histograms)
+# has them.
 difftest:
-	$(GO) test -run 'Differential|Oracle|Fuzz|CondSignal|WorkerReuse|ViewGoldens' -v ./internal/des/... ./internal/experiment/ ./internal/sched/ ./internal/interconnect/ ./internal/simdvec/ ./internal/stats/ ./internal/xrand/ ./internal/bench/osu/ ./internal/service/ ./internal/fleet/
+	$(GO) test -run 'Differential|Oracle|Fuzz|CondSignal|WorkerReuse|ViewGoldens' -v ./internal/des/... ./internal/experiment/ ./internal/sched/ ./internal/perfmodel/ ./internal/interconnect/ ./internal/simdvec/ ./internal/stats/ ./internal/xrand/ ./internal/bench/osu/ ./internal/service/ ./internal/fleet/
 	$(GO) test -tags desrefqueue ./internal/des/...
 	$(GO) test -tags desrefqueue -run 'TestDifferentialSchedulers' -v ./internal/experiment/
 

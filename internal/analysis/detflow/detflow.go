@@ -60,6 +60,11 @@ another package), and reports when a tainted value reaches:
     fmt.Sprint* and fmt.Appendf pass the taint on; storing into a map by
     key does not taint the map.
 
+Ranging over a tainted slice, array or string taints each element the
+loop yields, not its index. len and cap are order-free: a length does not
+depend on the order of the elements, so map order does not pass through
+them (the other sources do).
+
 Canonical functions must also not format a float with %v or %g: the
 rendering is shortest-representation, which changes bytes when a
 refactor changes intermediate rounding. Use strconv.FormatFloat with an
@@ -307,9 +312,13 @@ func (t *tainter) visit(n ast.Node) bool {
 	switch n := n.(type) {
 	case *ast.RangeStmt:
 		// Go randomizes map iteration order: the loop variables carry it.
+		// Any other ranged value hands its taint to the elements, while
+		// the index runs 0, 1, ... whatever they hold.
 		if t.pass.IsMapType(n.X) {
 			t.taintLHS(n.Key, mapOrder)
 			t.taintLHS(n.Value, mapOrder)
+		} else if why, ok := t.exprTaint(n.X); ok {
+			t.taintLHS(n.Value, why)
 		}
 	case *ast.AssignStmt:
 		if len(n.Lhs) == len(n.Rhs) {
@@ -426,10 +435,27 @@ func (t *tainter) exprTaint(e ast.Expr) (string, bool) {
 				why, found = w, true
 				return false
 			}
+			if t.lenOrCap(n) {
+				// A length does not depend on the order of the elements.
+				if w, ok := t.exprTaint(n.Args[0]); ok && !strings.HasSuffix(w, mapOrder) {
+					why, found = w, true
+				}
+				return false
+			}
 		}
 		return true
 	})
 	return why, found
+}
+
+// lenOrCap reports whether call is a call to the builtin len or cap.
+func (t *tainter) lenOrCap(call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || len(call.Args) != 1 {
+		return false
+	}
+	b, ok := t.pass.TypesInfo.Uses[id].(*types.Builtin)
+	return ok && (b.Name() == "len" || b.Name() == "cap")
 }
 
 // sourceCall reports whether call is itself a nondeterminism source: a

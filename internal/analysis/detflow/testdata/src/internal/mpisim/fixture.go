@@ -65,3 +65,28 @@ func deadlockUnsorted(waiting map[string]string) error {
 	}
 	return fmt.Errorf("deadlock: %v", names) // want `map iteration order is random but reaches Errorf in deadlockUnsorted`
 }
+
+// printKeysUnsorted ranges over keys collected in map order: each key
+// the loop yields carries that order to the output.
+func printKeysUnsorted(m map[string]int) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	for _, k := range keys {
+		fmt.Println(k) // want `map iteration order is random but reaches Println in printKeysUnsorted`
+	}
+}
+
+// countKeys emits only what map order does not decide: how many keys
+// there are, and the loop's index.
+func countKeys(m map[string]int) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	fmt.Println(len(keys), cap(keys))
+	for i := range keys {
+		fmt.Println(i)
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"clustereval/internal/interconnect"
 	"clustereval/internal/machine"
 	"clustereval/internal/perfmodel"
-	"clustereval/internal/sched"
 	"clustereval/internal/toolchain"
 	"clustereval/internal/units"
 )
@@ -153,11 +152,10 @@ func (mod *Model) StepTimes(nodes int) (asm, sol, total units.Seconds, err error
 
 	// Communication: two dot-product allreduces per iteration plus the
 	// unstructured halo, on a topology-aware allocation.
-	alloc, err := sched.New(mod.fabric.Topo, sched.TopologyAware, 1).Allocate(nodes)
+	comm, err := perfmodel.PlacedCommCost(mod.fabric, nodes)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	comm := perfmodel.NewCommCost(mod.fabric, alloc)
 	elemsPerRank := cfg.Elements / float64(ranks)
 	faceBytes := units.Bytes(8 * 6 * pow23(elemsPerRank) / float64(cfg.HaloNeighbors))
 	perIter := 2*comm.Allreduce(ranks, 8) + comm.HaloExchange(cfg.HaloNeighbors, faceBytes)

@@ -8,7 +8,6 @@ import (
 	"clustereval/internal/machine"
 	"clustereval/internal/memsim"
 	"clustereval/internal/perfmodel"
-	"clustereval/internal/sched"
 	"clustereval/internal/toolchain"
 	"clustereval/internal/units"
 )
@@ -162,11 +161,10 @@ func (mod *Model) StepTime(l Layout) (units.Seconds, error) {
 	// Communication (multi-node only): DD halo pulses plus the amortized
 	// global energy reduction.
 	if l.Nodes > 1 {
-		alloc, err := sched.New(mod.fabric.Topo, sched.TopologyAware, 1).Allocate(l.Nodes)
+		comm, err := perfmodel.PlacedCommCost(mod.fabric, l.Nodes)
 		if err != nil {
 			return 0, err
 		}
-		comm := perfmodel.NewCommCost(mod.fabric, alloc)
 		atomsPerRank := cfg.Atoms / float64(l.Ranks)
 		haloBytes := units.Bytes(48 * pow23(atomsPerRank)) // ~48 B per surface atom
 		t += units.Seconds(cfg.HaloPulses) * comm.PtToPt(haloBytes)

@@ -8,7 +8,6 @@ import (
 	"clustereval/internal/interconnect"
 	"clustereval/internal/machine"
 	"clustereval/internal/perfmodel"
-	"clustereval/internal/sched"
 	"clustereval/internal/toolchain"
 	"clustereval/internal/units"
 )
@@ -137,11 +136,10 @@ func (mod *Model) ExecutionTime(nodes int) (units.Seconds, error) {
 
 	// Communication: the 4-neighbour halo plus a few global reductions
 	// per step (time filters, solver norms).
-	alloc, err := sched.New(mod.fabric.Topo, sched.TopologyAware, 1).Allocate(nodes)
+	comm, err := perfmodel.PlacedCommCost(mod.fabric, nodes)
 	if err != nil {
 		return 0, err
 	}
-	comm := perfmodel.NewCommCost(mod.fabric, alloc)
 	haloBytes := units.Bytes(side * cfg.Levels * 8 * cfg.HaloFields)
 	perStep += comm.HaloExchange(4, haloBytes) + 3*comm.Allreduce(ranks, 8)
 	perStep += cfg.SerialPerStep

@@ -9,7 +9,6 @@ import (
 	"clustereval/internal/memsim"
 	"clustereval/internal/omp"
 	"clustereval/internal/perfmodel"
-	"clustereval/internal/sched"
 	"clustereval/internal/toolchain"
 	"clustereval/internal/units"
 )
@@ -164,11 +163,10 @@ func (mod *Model) DayTime(nodes, ranks int) (units.Seconds, error) {
 	t += units.TimeFor(units.Bytes(pts*cfg.Bytes/float64(nodes)), bw)
 
 	if nodes > 1 {
-		alloc, err := sched.New(mod.fabric.Topo, sched.TopologyAware, 1).Allocate(nodes)
+		comm, err := perfmodel.PlacedCommCost(mod.fabric, nodes)
 		if err != nil {
 			return 0, err
 		}
-		comm := perfmodel.NewCommCost(mod.fabric, alloc)
 		// Each transposition: a pipelined rank-level all-to-all. The
 		// latency term grows with the rank count; the volume term moves
 		// the spectral state once per transposition.

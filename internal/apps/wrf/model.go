@@ -7,7 +7,6 @@ import (
 	"clustereval/internal/interconnect"
 	"clustereval/internal/machine"
 	"clustereval/internal/perfmodel"
-	"clustereval/internal/sched"
 	"clustereval/internal/toolchain"
 	"clustereval/internal/units"
 )
@@ -102,11 +101,10 @@ func (mod *Model) ElapsedTime(nodes int, ioEnabled bool) (units.Seconds, error) 
 	perStep := mod.exec.Time(irr, cores) + mod.exec.Time(mem, cores)
 
 	if nodes > 1 {
-		alloc, err := sched.New(mod.fabric.Topo, sched.TopologyAware, 1).Allocate(nodes)
+		comm, err := perfmodel.PlacedCommCost(mod.fabric, nodes)
 		if err != nil {
 			return 0, err
 		}
-		comm := perfmodel.NewCommCost(mod.fabric, alloc)
 		colsPerRank := cfg.Columns / float64(ranks)
 		side := sqrt(colsPerRank)
 		sideBytes := units.Bytes(side * cfg.Levels * 8 * cfg.HaloFields)

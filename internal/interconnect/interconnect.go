@@ -207,12 +207,23 @@ func (f *Fabric) Latency(src, dst int) units.Seconds {
 	if src == dst {
 		return f.IntraNodeLatency
 	}
-	hops := f.Topo.Hops(src, dst)
-	lat := f.Net.BaseLatency + units.Seconds(float64(hops))*f.Net.PerHopLatency
+	lat := f.HopLatency(f.Topo.Hops(src, dst))
 	if le, ok := f.Faults.Link(src, dst); ok {
 		lat += le.ExtraLatency
 	}
 	return lat
+}
+
+// HopLatency returns the zero-byte latency of a route of hops links
+// before any injected link fault, as Latency prices it: the intra-node
+// latency at 0 hops, the only distance between a node and itself. On a
+// fabric without faults, Latency(src, dst) is HopLatency of their hop
+// distance, bit for bit.
+func (f *Fabric) HopLatency(hops int) units.Seconds {
+	if hops == 0 {
+		return f.IntraNodeLatency
+	}
+	return f.Net.BaseLatency + units.Seconds(float64(hops))*f.Net.PerHopLatency
 }
 
 // MessageTime returns the one-way time for a message of size bytes from

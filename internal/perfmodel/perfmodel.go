@@ -17,6 +17,7 @@ import (
 
 	"clustereval/internal/interconnect"
 	"clustereval/internal/machine"
+	"clustereval/internal/sched"
 	"clustereval/internal/toolchain"
 	"clustereval/internal/units"
 )
@@ -109,6 +110,14 @@ type CommCost struct {
 // NewCommCost derives α and β from a fabric and the set of allocated nodes:
 // α is the mean pairwise latency over the allocation (sampled exhaustively
 // up to 64 nodes, then on a deterministic stride), β is 1/link-peak.
+//
+// A pair's latency is Fabric.HopLatency of its hop distance plus any
+// latency injected on its link, as Fabric.Latency prices it (a node's
+// distance to itself is 0 and no fault links a node to itself), so
+// NewCommCost fills a table of HopLatency per hop count once and reads
+// each pair's distance off Topology.HopRows, which decodes each sampled
+// node once. It sums the pairs in the order calling Latency on each
+// would, so α is the same to the bit.
 func NewCommCost(f *interconnect.Fabric, nodes []int) CommCost {
 	if len(nodes) == 0 {
 		panic("perfmodel: empty allocation")
@@ -117,19 +126,48 @@ func NewCommCost(f *interconnect.Fabric, nodes []int) CommCost {
 	if len(nodes) > 64 {
 		stride = len(nodes) / 64
 	}
+	// The sampled nodes and one row of their distances share a buffer.
+	k := (len(nodes) + stride - 1) / stride
+	buf := make([]int, 2*k)
+	sampled, hops := buf[:k], buf[k:]
+	for i := range sampled {
+		sampled[i] = nodes[i*stride]
+	}
+	var latBuf [16]units.Seconds // a torus of CTE-Arm's size stays on the stack
+	lat := latBuf[:0]
+	for h := range f.Topo.Diameter() + 1 {
+		lat = append(lat, f.HopLatency(h))
+	}
+	fill := f.Topo.HopRows(sampled)
 	var sum float64
-	var count int
-	for i := 0; i < len(nodes); i += stride {
-		for j := i + stride; j < len(nodes); j += stride {
-			sum += float64(f.Latency(nodes[i], nodes[j]))
-			count++
+	for i, src := range sampled {
+		fill(src, i+1, hops)
+		for j := i + 1; j < k; j++ {
+			l := lat[hops[j]]
+			if le, ok := f.Faults.Link(src, sampled[j]); ok {
+				l += le.ExtraLatency
+			}
+			sum += float64(l)
 		}
 	}
+	count := k * (k - 1) / 2
 	alpha := f.Net.BaseLatency
 	if count > 0 {
 		alpha = units.Seconds(sum / float64(count))
 	}
 	return CommCost{Alpha: alpha, Beta: 1 / float64(f.Net.LinkPeak)}
+}
+
+// PlacedCommCost places a job of n nodes on the fabric's idle machine with
+// the topology-aware policy of CTE-Arm's scheduler, as every application
+// model does per data point, and returns NewCommCost of that placement.
+// It fails when the machine has fewer than n nodes.
+func PlacedCommCost(f *interconnect.Fabric, n int) (CommCost, error) {
+	alloc, err := sched.New(f.Topo, sched.TopologyAware, 1).Allocate(n)
+	if err != nil {
+		return CommCost{}, err
+	}
+	return NewCommCost(f, alloc), nil
 }
 
 // PtToPt returns the one-way cost of a b-byte message.

@@ -120,20 +120,32 @@ func (s *Scheduler) allocateRandom(n int) []int {
 //
 // Hop distances are small integers, so a seed's price is read off a
 // histogram of its distances to every free node, with no sort; only the
-// winning seed's selection is built. On a fat tree the histogram comes
-// from per-leaf free counts (leafCost), on a torus from every free node's
-// coordinates, decoded once per placement (torusCost); only the winner's
-// distances are scanned with Hops.
+// winning seed's selection is built, from its distances (Hops). On a fat
+// tree the histogram comes from per-leaf free counts (leafCost), on a
+// torus from each free node's coordinates, decoded once per placement
+// (torusCost).
+//
+// Every production placement is on an idle machine, which takes a
+// shorter path. On an idle fat tree it is nodes 0 to n-1: a seed's price
+// only falls as its leaf holds more free nodes, so no seed is cheaper
+// than the first sampled, node 0, whose leaf is full (or the only one),
+// and its nearest nodes in (hops, node index) order are the rest of its
+// leaf and then the next leaves' in order. An idle torus is placed by
+// idleTorus.
 func (s *Scheduler) allocateTopology(n int) []int {
+	if s.nBusy == 0 {
+		switch t := s.topo.(type) {
+		case *topology.FatTree:
+			return s.allocateLinear(n)
+		case *topology.Torus:
+			return idleTorus(t, n)
+		}
+	}
 	free := make([]int, 0, s.FreeNodes())
 	for i, b := range s.busy {
 		if !b {
 			free = append(free, i)
 		}
-	}
-	seedStride := 1
-	if len(free) > 48 {
-		seedStride = len(free) / 48
 	}
 	hops := make([]int, len(free))
 	counts := make([]int, s.topo.Diameter()+1)
@@ -142,18 +154,27 @@ func (s *Scheduler) allocateTopology(n int) []int {
 	case *topology.FatTree:
 		price = leafCost(t, free, n)
 	case *topology.Torus:
-		price = torusCost(t, free, counts, n)
+		price = torusCost(t, free, hops, counts, n)
 	default:
 		panic(fmt.Sprintf("sched: no seed pricing for topology %s", t.Name()))
 	}
 	best, bestCost := -1, 0
-	for si := 0; si < len(free); si += seedStride {
+	for si, stride := 0, seedStride(len(free)); si < len(free); si += stride {
 		if cost := price(free[si]); best < 0 || cost < bestCost {
 			best, bestCost = free[si], cost
 		}
 	}
 	s.distances(best, free, hops, counts)
 	return nearestFrom(free, hops, counts, n)
+}
+
+// seedStride is the step between the seeds placement samples from a list
+// of free nodes: every one up to 48, then about 48 of them.
+func seedStride(free int) int {
+	if free > 48 {
+		return free / 48
+	}
+	return 1
 }
 
 // leafCost prices seeds on a fat tree, where the distance between two
@@ -174,47 +195,140 @@ func leafCost(ft *topology.FatTree, free []int, n int) func(seed int) int {
 	}
 }
 
-// torusCost prices seeds on a torus, where a node's distance from the
-// seed is the sum over dimensions of its distance along each
-// (Torus.DimHops). Torus.Hops divides to peel two nodes' coordinates off
-// on every call; torusCost decodes each free node once per placement,
-// into one cell per dimension of a row that holds the seed's distance to
-// every coordinate of every dimension. The function it returns fills that
-// row for a seed, then sums each free node's cells into counts, as
-// distances does, with no division and no branch per node.
-func torusCost(t *topology.Torus, free, counts []int, n int) func(seed int) int {
-	dims := t.Dims()
-	start := make([]int, len(dims)+1) // dimension d's cells are row[start[d]:start[d+1]]
-	for d, size := range dims {
-		start[d+1] = start[d] + size
-	}
-	cells := make([]int, 0, len(free)*len(dims))
-	var c []int
-	for _, f := range free {
-		c = t.AppendCoords(c[:0], f)
-		for d, x := range c {
-			cells = append(cells, start[d]+x)
-		}
-	}
-	row := make([]int, start[len(dims)])
+// torusCost prices seeds on a torus from every free node's distance to
+// the seed, read off Torus.HopRows, which decodes each free node once per
+// placement where Torus.Hops divides on every call.
+func torusCost(t *topology.Torus, free, hops, counts []int, n int) func(seed int) int {
+	fill := t.HopRows(free)
 	return func(seed int) int {
-		c = t.AppendCoords(c[:0], seed)
-		for d, x := range c {
-			for y := range dims[d] {
-				row[start[d]+y] = t.DimHops(d, x, y)
-			}
-		}
+		fill(seed, 0, hops)
 		clear(counts)
-		for i := 0; i < len(cells); i += len(dims) {
-			h := 0
-			for _, cell := range cells[i : i+len(dims)] {
-				h += row[cell]
-			}
+		for _, h := range hops {
 			counts[h]++
 		}
 		cost, _, _ := nearest(counts, n)
 		return cost
 	}
+}
+
+// idleTorus places n nodes on a torus with no busy node. There the free
+// list is every node in index order, so the sampled seeds are nodes 0,
+// stride, 2*stride, and so on; idleCost prices each in O(dimensions ×
+// diameter) rather than O(nodes), and idleNearest builds the winner's
+// selection without visiting the nodes it cannot take.
+func idleTorus(t *topology.Torus, n int) []int {
+	nodes := t.Nodes()
+	counts := make([]int, t.Diameter()+1)
+	price := idleCost(t, counts, n)
+	best, bestCost := -1, 0
+	for seed, stride := 0, seedStride(nodes); seed < nodes; seed += stride {
+		if cost := price(seed); best < 0 || cost < bestCost {
+			best, bestCost = seed, cost
+		}
+	}
+	price(best) // leaves the winner's histogram in counts
+	return idleNearest(t, best, counts, n)
+}
+
+// idleCost prices seeds on an idle torus. An idle torus is the product of
+// its dimensions and a node's distance from the seed is the sum of its
+// distances along each (Torus.DimHops), so the seed's histogram over
+// every node is the convolution of one histogram per dimension: the
+// count of coordinates at each distance from the seed's coordinate.
+// idleCost works out each coordinate's histogram once; the function it
+// returns convolves the seed's in counts and prices the seed from that,
+// exactly as torusCost would with every node free. A seed whose
+// histograms all equal the last convolved seed's has its histogram and
+// price, so it reuses them: on a torus of rings and lines of 2, such as
+// CTE-Arm's, every seed does after the first.
+func idleCost(t *topology.Torus, counts []int, n int) func(seed int) int {
+	dims := t.Dims()
+	w := len(counts)
+	cells := 0 // one per coordinate of every dimension
+	for _, size := range dims {
+		cells += size
+	}
+	buf := make([]int, cells*w+w+3*len(dims))
+	hists := buf[:cells*w] // a cell's histogram is hists[cell*w:][:w]
+	prev := buf[cells*w:][:w]
+	start := buf[cells*w+w:][:len(dims)]          // dimension d's first cell
+	last := buf[cells*w+w+len(dims):][:len(dims)] // the last convolved seed's cells
+	c := buf[cells*w+w+2*len(dims):][:0:len(dims)]
+	for d, size := range dims {
+		if d > 0 {
+			start[d] = start[d-1] + dims[d-1]
+		}
+		for x := range size {
+			for y := range size {
+				hists[(start[d]+x)*w+t.DimHops(d, x, y)]++
+			}
+		}
+	}
+	cost := -1
+	return func(seed int) int {
+		c = t.AppendCoords(c[:0], seed)
+		same := cost >= 0
+		for d, x := range c {
+			cell := start[d] + x
+			same = same && slices.Equal(hists[cell*w:][:w], hists[last[d]*w:][:w])
+			last[d] = cell
+		}
+		if same {
+			return cost
+		}
+		clear(counts)
+		counts[0] = 1
+		for _, cell := range last {
+			copy(prev, counts)
+			clear(counts)
+			hist := hists[cell*w:][:w]
+			for a, ca := range prev {
+				if ca == 0 {
+					continue
+				}
+				for b, cb := range hist[:w-a] {
+					counts[a+b] += ca * cb
+				}
+			}
+		}
+		cost, _, _ = nearest(counts, n)
+		return cost
+	}
+}
+
+// idleNearest is nearestFrom on an idle torus, where every node is free:
+// given the seed's histogram in counts, it returns the first n nodes in
+// (hops, node index) order, ascending. It walks the nodes in index order,
+// a dimension at a time, and skips every coordinate prefix already too
+// far to hold a node it may take (a node's later dimensions add 0 hops at
+// best), so it visits few nodes beyond the ones it takes.
+func idleNearest(t *topology.Torus, seed int, counts []int, n int) []int {
+	_, cut, atCut := nearest(counts, n)
+	dims := t.Dims()
+	c := t.AppendCoords(nil, seed)
+	alloc := make([]int, 0, n)
+	var walk func(d, node, h int)
+	walk = func(d, node, h int) {
+		if d == len(dims) {
+			if h == cut {
+				atCut--
+			}
+			alloc = append(alloc, node)
+			return
+		}
+		for y := range dims[d] {
+			if len(alloc) == n {
+				return
+			}
+			// Past the cut, or at it with no slot left there, no node
+			// under this prefix can be taken.
+			if hy := h + t.DimHops(d, c[d], y); hy < cut || hy == cut && atCut > 0 {
+				walk(d+1, node*dims[d]+y, hy)
+			}
+		}
+	}
+	walk(0, 0, 0)
+	return alloc
 }
 
 // distances sets hops[i] to the hop distance from seed to free[i] and

@@ -262,7 +262,12 @@ func referenceTopology(topo topology.Topology, busy []bool, n int) []int {
 // per-leaf pricing: 40 nodes at leaf 24, whose last leaf is partial;
 // ThunderX2's 40 nodes at leaf 20; one leaf of 20 nodes (diameter 2); a
 // single node (diameter 0); and leaf size 1, where no two nodes share a
-// leaf. On fat trees every sampled seed's price is checked too.
+// leaf. Every torus of CTE-Arm's shape ties its idle seeds, so the tori
+// also cover shapes whose idle seeds do not all tie, or where the
+// convolution of idle pricing has edge cases: a ring of 7, a line of 5,
+// a 3x4x5 torus whose 4 is a line, a torus with a dimension of size 1,
+// and Fugaku's six-dimensional shape at 576 nodes. Every sampled seed's
+// price is checked too (checkLeafCost, checkTorusCost).
 func TestPlacementDifferential(t *testing.T) {
 	torus, err := topology.NewTofuD(6144)
 	if err != nil {
@@ -273,6 +278,23 @@ func TestPlacementDifferential(t *testing.T) {
 		topo topology.Topology
 	}
 	shapes := []shape{{"TofuD-192", tofu(t)}, {"TofuD-6144", torus}}
+	for _, tr := range []struct {
+		name string
+		dims []int
+		wrap []bool
+	}{
+		{"ring-7", []int{7}, []bool{true}},
+		{"line-5", []int{5}, []bool{false}},
+		{"torus-3x4x5/line4", []int{3, 4, 5}, []bool{true, false, true}},
+		{"torus-4x1x3", []int{4, 1, 3}, []bool{true, true, false}},
+		{"fugaku-4x3x4x2x3x2", []int{4, 3, 4, 2, 3, 2}, []bool{true, true, true, false, true, false}},
+	} {
+		torus, err := topology.NewTorus(tr.name, tr.dims, tr.wrap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes = append(shapes, shape{tr.name, torus})
+	}
 	for _, nl := range [][2]int{{3456, 24}, {40, 24}, {40, 20}, {20, 20}, {1, 24}, {100, 1}} {
 		fatTree, err := topology.NewFatTree(nl[0], nl[1])
 		if err != nil {
@@ -308,8 +330,11 @@ func TestPlacementDifferential(t *testing.T) {
 				if want := referenceTopology(topo, busy, n); !slices.Equal(got, want) {
 					t.Errorf("%s: placement differs from the sort-based reference\n got %v\nwant %v", name, got, want)
 				}
-				if ft, ok := topo.(*topology.FatTree); ok {
-					checkLeafCost(t, name, ft, busy, n)
+				switch topo := topo.(type) {
+				case *topology.FatTree:
+					checkLeafCost(t, name, topo, busy, n)
+				case *topology.Torus:
+					checkTorusCost(t, name, topo, busy, n)
 				}
 			}
 		}
@@ -338,10 +363,44 @@ func checkLeafCost(t *testing.T, name string, ft *topology.FatTree, busy []bool,
 	}
 }
 
-// BenchmarkAllocate times one topology-aware placement on an empty
-// machine at each of Table IV's node counts, as every application model
-// does per data point: on CTE-Arm's 192-node TofuD and MareNostrum 4's
-// 3,456-node fat tree.
+// checkTorusCost is checkLeafCost on a torus: torusCost must price every
+// seed that placement samples as the sort-based reference does, and so
+// must idleCost, the convolution that prices seeds when no node is busy.
+func checkTorusCost(t *testing.T, name string, torus *topology.Torus, busy []bool, n int) {
+	t.Helper()
+	var free []int
+	for i, b := range busy {
+		if !b {
+			free = append(free, i)
+		}
+	}
+	type pricer struct {
+		name  string
+		price func(seed int) int
+	}
+	pricers := []pricer{{"torusCost", torusCost(torus, free, make([]int, len(free)), make([]int, torus.Diameter()+1), n)}}
+	if len(free) == len(busy) {
+		pricers = append(pricers, pricer{"idleCost", idleCost(torus, make([]int, torus.Diameter()+1), n)})
+	}
+	for si := 0; si < len(free); si += seedStride(len(free)) {
+		_, want := sortedNearestFrom(torus, free[si], free, n)
+		for _, p := range pricers {
+			if got := p.price(free[si]); float64(got) != want {
+				t.Errorf("%s: %s priced seed %d at %d, sort-based reference %v", name, p.name, free[si], got, want)
+				return
+			}
+		}
+	}
+}
+
+// BenchmarkAllocate times one topology-aware placement at each of Table
+// IV's node counts, on CTE-Arm's 192-node TofuD and MareNostrum 4's
+// 3,456-node fat tree. Every production placement is on an idle machine,
+// as every application model places each data point on a fresh
+// scheduler: an idle torus prices its seeds by convolving per-dimension
+// histograms, and an idle fat tree takes its first nodes. The busy cases
+// time the path only a partly allocated machine takes, on a seeded mask
+// with 40% of the nodes busy.
 func BenchmarkAllocate(b *testing.B) {
 	tofuD, err := topology.NewTofuD(192)
 	if err != nil {
@@ -352,11 +411,34 @@ func BenchmarkAllocate(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, topo := range []topology.Topology{tofuD, fatTree} {
+		r := xrand.New(xrand.MixN(0xbe5c, uint64(topo.Nodes())))
+		busy := make([]bool, topo.Nodes())
+		nBusy := 0
+		for i := range busy {
+			if r.Float64() < 0.4 {
+				busy[i] = true
+				nBusy++
+			}
+		}
 		for _, n := range []int{1, 16, 32, 64, 128, 192} {
 			b.Run(fmt.Sprintf("%s-%d/n=%d", topo.Name(), topo.Nodes(), n), func(b *testing.B) {
 				b.ReportAllocs()
 				for range b.N {
 					if _, err := New(topo, TopologyAware, 1).Allocate(n); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			if n > len(busy)-nBusy {
+				continue
+			}
+			b.Run(fmt.Sprintf("%s-%d/busy40/n=%d", topo.Name(), topo.Nodes(), n), func(b *testing.B) {
+				b.ReportAllocs()
+				for range b.N {
+					s := New(topo, TopologyAware, 1)
+					copy(s.busy, busy)
+					s.nBusy = nBusy
+					if _, err := s.Allocate(n); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -21,6 +21,14 @@ type Topology interface {
 	Hops(a, b int) int
 	// Diameter returns the maximum Hops over all pairs.
 	Diameter() int
+	// HopRows decodes a list of nodes once and returns fill, which sets
+	// hops[j] to Hops(src, nodes[j]) for every j from from on: a row of
+	// distances from any node to the list's, with no division per entry,
+	// where Hops decodes both of its nodes on every call. hops must hold
+	// len(nodes) entries; fill leaves hops[:from] as it was. fill reuses
+	// one buffer across calls and is not safe for concurrent use. Like
+	// Hops, both panic on an out-of-range node.
+	HopRows(nodes []int) (fill func(src, from int, hops []int))
 }
 
 // Torus is an N-dimensional torus/mesh. Dimensions with wrap=true are rings
@@ -170,6 +178,45 @@ func ringHops(diff, size int, wrap bool) int {
 	return diff
 }
 
+// HopRows implements Topology. It decodes each node of the list into one
+// cell per dimension of a row that fill sets, for src, to its distance to
+// every coordinate of every dimension (DimHops); a node's distance from
+// src is then the sum of its cells.
+func (t *Torus) HopRows(nodes []int) func(src, from int, hops []int) {
+	dims := len(t.dims)
+	width := 0
+	for _, size := range t.dims {
+		width += size
+	}
+	buf := make([]int, width+dims+len(nodes)*dims)
+	row, coords, cells := buf[:width], buf[width:width:width+dims], buf[width+dims:]
+	for k, node := range nodes {
+		cell := t.AppendCoords(cells[k*dims:k*dims], node)
+		off := 0
+		for d, size := range t.dims {
+			cell[d] += off
+			off += size
+		}
+	}
+	return func(src, from int, hops []int) {
+		c := t.AppendCoords(coords, src)
+		off := 0
+		for d, size := range t.dims {
+			for y := range size {
+				row[off+y] = ringHops(c[d]-y, size, t.wrap[d])
+			}
+			off += size
+		}
+		for j := from; j < len(nodes); j++ {
+			h := 0
+			for _, cell := range cells[j*dims : (j+1)*dims] {
+				h += row[cell]
+			}
+			hops[j] = h
+		}
+	}
+}
+
 // Diameter implements Topology.
 func (t *Torus) Diameter() int {
 	d := 0
@@ -231,6 +278,28 @@ func (f *FatTree) Hops(a, b int) int {
 		return 2
 	}
 	return 4
+}
+
+// HopRows implements Topology: each node's leaf is found once, and a
+// node's distance from src follows Hops' rule from the two leaves.
+func (f *FatTree) HopRows(nodes []int) func(src, from int, hops []int) {
+	leaf := make([]int, len(nodes))
+	for k, node := range nodes {
+		leaf[k] = f.Leaf(node)
+	}
+	return func(src, from int, hops []int) {
+		srcLeaf := f.Leaf(src)
+		for j := from; j < len(nodes); j++ {
+			switch {
+			case nodes[j] == src:
+				hops[j] = 0
+			case leaf[j] == srcLeaf:
+				hops[j] = 2
+			default:
+				hops[j] = 4
+			}
+		}
+	}
 }
 
 // Diameter implements Topology.

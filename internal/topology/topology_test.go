@@ -333,6 +333,71 @@ func TestDimHopsSumToHops(t *testing.T) {
 	}
 }
 
+// TestHopRowsMatchHops requires every row HopRows fills to hold Hops
+// from its source to each node of the list from its first entry on, and
+// to leave the entries before it alone. The list is every node in order
+// on CTE-Arm's TofuD, and random nodes on a torus with a line of 4 and a
+// dimension of size 1, on Fugaku's shape, and on fat trees with a
+// partial last leaf and with leaf size 1. Every list ends by repeating a
+// node, whose distance to itself is 0. Each list is walked twice: row i
+// from the list's node i from entry i+1 on, as the pairs of an
+// allocation are, and from a random node from entry i mod 3 on.
+func TestHopRowsMatchHops(t *testing.T) {
+	cte, err := NewTofuD(192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh, err := NewTorus("mesh", []int{3, 4, 1, 5}, []bool{true, false, true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial, err := NewFatTree(40, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := NewFatTree(30, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fugaku := fugakuShape(t)
+	for _, topo := range []Topology{cte, mesh, fugaku, partial, single} {
+		r := xrand.New(xrand.MixN(0x40b5, uint64(topo.Nodes())))
+		nodes := make([]int, 0, 200)
+		if topo == Topology(cte) {
+			for i := range cte.Nodes() {
+				nodes = append(nodes, i)
+			}
+		} else {
+			for range 150 {
+				nodes = append(nodes, r.Intn(topo.Nodes()))
+			}
+		}
+		nodes = append(nodes, nodes[len(nodes)/2], topo.Nodes()-1, 0)
+		fill := topo.HopRows(nodes)
+		hops := make([]int, len(nodes))
+		check := func(src, from int) {
+			for j := range hops {
+				hops[j] = -1
+			}
+			fill(src, from, hops)
+			for j, h := range hops {
+				want := -1
+				if j >= from {
+					want = topo.Hops(src, nodes[j])
+				}
+				if h != want {
+					t.Fatalf("%s-%d: HopRows from node %d (entries %d on) holds %d for node %d, want %d",
+						topo.Name(), topo.Nodes(), src, from, h, nodes[j], want)
+				}
+			}
+		}
+		for i := range nodes {
+			check(nodes[i], i+1)
+			check(r.Intn(topo.Nodes()), i%3)
+		}
+	}
+}
+
 func TestHopsPanicsOutOfRange(t *testing.T) {
 	tf, _ := NewTofuD(24)
 	for _, pair := range [][2]int{{-1, 0}, {0, -1}, {24, 0}, {0, 24}} {
