@@ -129,6 +129,20 @@ func models(t *testing.T) (*Model, *Model) {
 	return ma, mm
 }
 
+// curves returns one phase's sweep on CTE-Arm and on MareNostrum 4.
+func curves(t *testing.T, ph Phase) (cte, ref scaling.Series) {
+	t.Helper()
+	a, err := SweepOn(machine.CTEArm(), ph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := SweepOn(machine.MareNostrum4(), ph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a[0], m[0]
+}
+
 func TestMemoryFloor(t *testing.T) {
 	ma, mm := models(t)
 	// Paper: "the input set requires at least 12 A64FX nodes".
@@ -150,10 +164,7 @@ func TestMemoryFloor(t *testing.T) {
 
 func TestFig8TotalSlowdown(t *testing.T) {
 	// Paper: between 12 and 16 nodes, CTE-Arm is consistently 3.4x slower.
-	cte, ref, err := Figure8(machine.CTEArm(), machine.MareNostrum4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cte, ref := curves(t, TimeStep)
 	for _, nodes := range []int{12, 14, 16} {
 		s, err := scaling.Slowdown(cte, ref, nodes)
 		if err != nil {
@@ -167,10 +178,7 @@ func TestFig8TotalSlowdown(t *testing.T) {
 
 func TestFig8Crossover44(t *testing.T) {
 	// Paper: 44 A64FX nodes match 12 MareNostrum 4 nodes.
-	cte, ref, err := Figure8(machine.CTEArm(), machine.MareNostrum4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cte, ref := curves(t, TimeStep)
 	target, _ := ref.TimeAt(12)
 	if got := scaling.MatchingNodes(cte, target); got != 44 {
 		t.Errorf("matching node count = %d, paper: 44", got)
@@ -178,10 +186,7 @@ func TestFig8Crossover44(t *testing.T) {
 }
 
 func TestFig9AssemblyAnchors(t *testing.T) {
-	cte, ref, err := Figure9(machine.CTEArm(), machine.MareNostrum4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cte, ref := curves(t, Assembly)
 	// 12 MN4 nodes are 4.96x faster than 12 CTE nodes in Assembly.
 	s, err := scaling.Slowdown(cte, ref, 12)
 	if err != nil {
@@ -198,10 +203,7 @@ func TestFig9AssemblyAnchors(t *testing.T) {
 }
 
 func TestFig10SolverAnchors(t *testing.T) {
-	cte, ref, err := Figure10(machine.CTEArm(), machine.MareNostrum4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cte, ref := curves(t, Solver)
 	// Solver gap is much smaller: 1.79x at 12 nodes.
 	s, err := scaling.Slowdown(cte, ref, 12)
 	if err != nil {

@@ -179,33 +179,19 @@ func pow23(x float64) float64 {
 	return c * c
 }
 
-// phase selects which time StepTimes contributes to a figure.
-type phase int
+// Phase selects which time of StepTimes a sweep reports: the whole time
+// step (Fig. 8), the Assembly phase (Fig. 9) or the Solver phase
+// (Fig. 10).
+type Phase int
 
 const (
-	phaseTotal phase = iota
-	phaseAssembly
-	phaseSolver
+	TimeStep Phase = iota
+	Assembly
+	Solver
 )
 
-func (mod *Model) series(label string, ph phase, nodeCounts []int) (scaling.Series, error) {
-	s := scaling.Series{Machine: mod.Machine.Name, Label: label}
-	for _, n := range nodeCounts {
-		asm, sol, total, err := mod.StepTimes(n)
-		if err != nil {
-			return scaling.Series{}, err
-		}
-		t := total
-		switch ph {
-		case phaseAssembly:
-			t = asm
-		case phaseSolver:
-			t = sol
-		}
-		s.Points = append(s.Points, scaling.Point{Nodes: n, Time: t})
-	}
-	return s, nil
-}
+// String returns the phase's label on its figure's curves.
+func (ph Phase) String() string { return [...]string{"time step", "Assembly", "Solver"}[ph] }
 
 // CTESweep is the node range the paper explores on CTE-Arm (12 to 78).
 func CTESweep() []int { return []int{12, 14, 16, 22, 32, 44, 62, 78} }
@@ -214,10 +200,10 @@ func CTESweep() []int { return []int{12, 14, 16, 22, 32, 44, 62, 78} }
 // with the Table IV columns.
 func MN4Sweep() []int { return []int{12, 14, 16, 32, 64} }
 
-// SweepOn returns the time-step scalability curve on an arbitrary
-// machine: the paper's node range on the paper machines, a doubling
-// ladder from the memory floor to the full partition elsewhere.
-func SweepOn(m machine.Machine) ([]scaling.Series, error) {
+// SweepOn returns one phase's scalability curve on an arbitrary machine:
+// the paper's node range on the paper machines, a doubling ladder from
+// the memory floor to the full partition elsewhere.
+func SweepOn(m machine.Machine, ph Phase) ([]scaling.Series, error) {
 	mod, err := NewModel(m, TestCaseB())
 	if err != nil {
 		return nil, err
@@ -231,44 +217,20 @@ func SweepOn(m machine.Machine) ([]scaling.Series, error) {
 	default:
 		counts = scaling.DoublingSweep(mod.MinNodes(), m.Nodes)
 	}
-	s, err := mod.series("time step", phaseTotal, counts)
-	if err != nil {
-		return nil, err
+	s := scaling.Series{Machine: m.Name, Label: ph.String()}
+	for _, n := range counts {
+		asm, sol, total, err := mod.StepTimes(n)
+		if err != nil {
+			return nil, err
+		}
+		t := total
+		switch ph {
+		case Assembly:
+			t = asm
+		case Solver:
+			t = sol
+		}
+		s.Points = append(s.Points, scaling.Point{Nodes: n, Time: t})
 	}
 	return []scaling.Series{s}, nil
-}
-
-// Figure8 returns the time-step scalability curves of Fig. 8.
-func Figure8(arm, mn4 machine.Machine) (cte, ref scaling.Series, err error) {
-	return figure(arm, mn4, phaseTotal, "time step")
-}
-
-// Figure9 returns the Assembly-phase curves of Fig. 9.
-func Figure9(arm, mn4 machine.Machine) (cte, ref scaling.Series, err error) {
-	return figure(arm, mn4, phaseAssembly, "Assembly")
-}
-
-// Figure10 returns the Solver-phase curves of Fig. 10.
-func Figure10(arm, mn4 machine.Machine) (cte, ref scaling.Series, err error) {
-	return figure(arm, mn4, phaseSolver, "Solver")
-}
-
-func figure(arm, mn4 machine.Machine, ph phase, label string) (scaling.Series, scaling.Series, error) {
-	ma, err := NewModel(arm, TestCaseB())
-	if err != nil {
-		return scaling.Series{}, scaling.Series{}, err
-	}
-	mm, err := NewModel(mn4, TestCaseB())
-	if err != nil {
-		return scaling.Series{}, scaling.Series{}, err
-	}
-	cte, err := ma.series(label, ph, CTESweep())
-	if err != nil {
-		return scaling.Series{}, scaling.Series{}, err
-	}
-	ref, err := mm.series(label, ph, MN4Sweep())
-	if err != nil {
-		return scaling.Series{}, scaling.Series{}, err
-	}
-	return cte, ref, nil
 }

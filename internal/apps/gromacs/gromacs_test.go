@@ -233,11 +233,22 @@ func TestFig13Slowdown144(t *testing.T) {
 	}
 }
 
-func TestFigure12And13Series(t *testing.T) {
-	cte, ref, err := Figure12(machine.CTEArm(), machine.MareNostrum4())
+// curves returns sweep's curve on CTE-Arm and on MareNostrum 4.
+func curves(t *testing.T, sweep func(machine.Machine) ([]scaling.Series, error)) (cte, ref scaling.Series) {
+	t.Helper()
+	a, err := sweep(machine.CTEArm())
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, err := sweep(machine.MareNostrum4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a[0], m[0]
+}
+
+func TestFigure12And13Series(t *testing.T) {
+	cte, ref := curves(t, SingleNodeSweepOn)
 	if len(cte.Points) != 4 || len(ref.Points) != 4 {
 		t.Fatalf("Fig12 point counts: %d/%d", len(cte.Points), len(ref.Points))
 	}
@@ -251,10 +262,7 @@ func TestFigure12And13Series(t *testing.T) {
 		}
 	}
 
-	cte13, ref13, err := Figure13(machine.CTEArm(), machine.MareNostrum4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cte13, ref13 := curves(t, SweepOn)
 	// The 2-node (16-rank) point breaks monotonicity on both machines.
 	for _, s := range []scaling.Series{cte13, ref13} {
 		t1, _ := s.TimeAt(1)

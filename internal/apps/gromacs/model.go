@@ -264,57 +264,31 @@ func LayoutsFor(m machine.Machine) []Layout {
 	return ls
 }
 
-// SweepOn returns the multi-node scalability curve (y = days/ns) on an
-// arbitrary machine.
+// SweepOn returns the multi-node scalability curve of Fig. 13 (x = nodes,
+// y = days/ns) on an arbitrary machine.
 func SweepOn(m machine.Machine) ([]scaling.Series, error) {
+	return sweep(m, LayoutsFor(m), func(l Layout) int { return l.Nodes })
+}
+
+// SingleNodeSweepOn returns the single-node curve of Fig. 12 (x = cores,
+// y = days/ns) on one machine.
+func SingleNodeSweepOn(m machine.Machine) ([]scaling.Series, error) {
+	return sweep(m, SingleNodeLayouts(), Layout.Cores)
+}
+
+// sweep prices each layout on m and plots days/ns against x(layout).
+func sweep(m machine.Machine, layouts []Layout, x func(Layout) int) ([]scaling.Series, error) {
 	mod, err := NewModel(m, LignocelluloseRF())
 	if err != nil {
 		return nil, err
 	}
 	s := scaling.Series{Machine: m.Name}
-	for _, l := range LayoutsFor(m) {
+	for _, l := range layouts {
 		t, err := mod.StepTime(l)
 		if err != nil {
 			return nil, err
 		}
-		s.Points = append(s.Points, scaling.Point{Nodes: l.Nodes, Time: units.Seconds(mod.DaysPerNS(t))})
+		s.Points = append(s.Points, scaling.Point{Nodes: x(l), Time: units.Seconds(mod.DaysPerNS(t))})
 	}
 	return []scaling.Series{s}, nil
-}
-
-// Figure12 returns the single-node curves (y = days/ns, x = cores).
-func Figure12(arm, mn4 machine.Machine) (cte, ref scaling.Series, err error) {
-	return figure(arm, mn4, SingleNodeLayouts(), func(l Layout) int { return l.Cores() })
-}
-
-// Figure13 returns the multi-node curves (y = days/ns, x = nodes).
-func Figure13(arm, mn4 machine.Machine) (cte, ref scaling.Series, err error) {
-	return figure(arm, mn4, MultiNodeLayouts(), func(l Layout) int { return l.Nodes })
-}
-
-func figure(arm, mn4 machine.Machine, layouts []Layout, x func(Layout) int) (scaling.Series, scaling.Series, error) {
-	ma, err := NewModel(arm, LignocelluloseRF())
-	if err != nil {
-		return scaling.Series{}, scaling.Series{}, err
-	}
-	mm, err := NewModel(mn4, LignocelluloseRF())
-	if err != nil {
-		return scaling.Series{}, scaling.Series{}, err
-	}
-	var cte, ref scaling.Series
-	cte.Machine = arm.Name
-	ref.Machine = mn4.Name
-	for _, l := range layouts {
-		ta, err := ma.StepTime(l)
-		if err != nil {
-			return cte, ref, err
-		}
-		tm, err := mm.StepTime(l)
-		if err != nil {
-			return cte, ref, err
-		}
-		cte.Points = append(cte.Points, scaling.Point{Nodes: x(l), Time: units.Seconds(ma.DaysPerNS(ta))})
-		ref.Points = append(ref.Points, scaling.Point{Nodes: x(l), Time: units.Seconds(mm.DaysPerNS(tm))})
-	}
-	return cte, ref, nil
 }

@@ -154,9 +154,9 @@ func CTESweep() []int { return []int{8, 12, 16, 24, 32, 48, 64, 96, 128, 160, 19
 // with 27 (the equivalence point the paper quotes).
 func MN4Sweep() []int { return []int{1, 2, 4, 8, 12, 16, 24, 27} }
 
-// SweepOn returns the BENCH scalability curve on an arbitrary machine:
-// the paper's node range on the paper machines, a doubling ladder from
-// the memory floor elsewhere.
+// SweepOn returns the BENCH scalability curve of Fig. 11 on an arbitrary
+// machine: the paper's node range on the paper machines, a doubling ladder
+// from the memory floor elsewhere.
 func SweepOn(m machine.Machine) ([]scaling.Series, error) {
 	mod, err := NewModel(m, BenchORCA1())
 	if err != nil {
@@ -180,33 +180,4 @@ func SweepOn(m machine.Machine) ([]scaling.Series, error) {
 		s.Points = append(s.Points, scaling.Point{Nodes: n, Time: t})
 	}
 	return []scaling.Series{s}, nil
-}
-
-// Figure11 returns the scalability curves of Fig. 11.
-func Figure11(arm, mn4 machine.Machine) (cte, ref scaling.Series, err error) {
-	ma, err := NewModel(arm, BenchORCA1())
-	if err != nil {
-		return
-	}
-	mm, err := NewModel(mn4, BenchORCA1())
-	if err != nil {
-		return
-	}
-	cte = scaling.Series{Machine: arm.Name}
-	for _, n := range CTESweep() {
-		t, err2 := ma.ExecutionTime(n)
-		if err2 != nil {
-			return cte, ref, err2
-		}
-		cte.Points = append(cte.Points, scaling.Point{Nodes: n, Time: t})
-	}
-	ref = scaling.Series{Machine: mn4.Name}
-	for _, n := range MN4Sweep() {
-		t, err2 := mm.ExecutionTime(n)
-		if err2 != nil {
-			return cte, ref, err2
-		}
-		ref.Points = append(ref.Points, scaling.Point{Nodes: n, Time: t})
-	}
-	return cte, ref, nil
 }

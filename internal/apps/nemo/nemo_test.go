@@ -166,12 +166,23 @@ func TestMemoryFloor8Nodes(t *testing.T) {
 	}
 }
 
-func TestFig11SlowdownBand(t *testing.T) {
-	// Paper: MN4 performance is between 1.70x and 1.79x higher.
-	cte, ref, err := Figure11(machine.CTEArm(), machine.MareNostrum4())
+// curves returns the Fig. 11 sweep on CTE-Arm and on MareNostrum 4.
+func curves(t *testing.T) (cte, ref scaling.Series) {
+	t.Helper()
+	a, err := SweepOn(machine.CTEArm())
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, err := SweepOn(machine.MareNostrum4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a[0], m[0]
+}
+
+func TestFig11SlowdownBand(t *testing.T) {
+	// Paper: MN4 performance is between 1.70x and 1.79x higher.
+	cte, ref := curves(t)
 	for _, nodes := range []int{8, 12, 16, 24} {
 		s, err := scaling.Slowdown(cte, ref, nodes)
 		if err != nil {
@@ -185,10 +196,7 @@ func TestFig11SlowdownBand(t *testing.T) {
 
 func TestFig11Equivalence48to27(t *testing.T) {
 	// Paper: 48 A64FX nodes match 27 MareNostrum 4 nodes.
-	cte, ref, err := Figure11(machine.CTEArm(), machine.MareNostrum4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cte, ref := curves(t)
 	t48, ok := cte.TimeAt(48)
 	if !ok {
 		t.Fatal("no 48-node point")
@@ -205,10 +213,7 @@ func TestFig11Equivalence48to27(t *testing.T) {
 
 func TestFig11FlatteningAt128(t *testing.T) {
 	// Paper: CTE-Arm scalability flattens around 128 nodes.
-	cte, _, err := Figure11(machine.CTEArm(), machine.MareNostrum4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cte, _ := curves(t)
 	t64, _ := cte.TimeAt(64)
 	t128, _ := cte.TimeAt(128)
 	t192, _ := cte.TimeAt(192)
@@ -227,10 +232,7 @@ func TestFig11FlatteningAt128(t *testing.T) {
 
 func TestTableIVNemoRow(t *testing.T) {
 	// Table IV NEMO at 16 nodes: 0.56.
-	cte, ref, err := Figure11(machine.CTEArm(), machine.MareNostrum4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cte, ref := curves(t)
 	tA, _ := cte.TimeAt(16)
 	tM, _ := ref.TimeAt(16)
 	got := float64(tM) / float64(tA)

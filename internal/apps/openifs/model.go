@@ -191,38 +191,28 @@ func (mod *Model) availableBW(ranksPerNode int) (units.BytesPerSecond, error) {
 	return memsim.TeamBandwidth(team, false, 1.0)
 }
 
-// Figure14 returns the single-node curves (x = MPI ranks, y = seconds per
-// simulated day) for TL255L91.
-func Figure14(arm, mn4 machine.Machine) (cte, ref scaling.Series, err error) {
-	rankSweep := []int{8, 12, 16, 24, 32, 48}
-	ma, err := NewModel(arm, TL255L91())
+// SingleNodeSweepOn returns the TL255L91 curve of Fig. 14 on one node of
+// m (x = MPI ranks, y = seconds per simulated day).
+func SingleNodeSweepOn(m machine.Machine) ([]scaling.Series, error) {
+	mod, err := NewModel(m, TL255L91())
 	if err != nil {
-		return
+		return nil, err
 	}
-	mm, err := NewModel(mn4, TL255L91())
-	if err != nil {
-		return
-	}
-	cte = scaling.Series{Machine: arm.Name}
-	ref = scaling.Series{Machine: mn4.Name}
-	for _, r := range rankSweep {
-		ta, err2 := ma.DayTime(1, r)
-		if err2 != nil {
-			return cte, ref, err2
+	s := scaling.Series{Machine: m.Name}
+	for _, r := range []int{8, 12, 16, 24, 32, 48} {
+		t, err := mod.DayTime(1, r)
+		if err != nil {
+			return nil, err
 		}
-		tm, err2 := mm.DayTime(1, r)
-		if err2 != nil {
-			return cte, ref, err2
-		}
-		cte.Points = append(cte.Points, scaling.Point{Nodes: r, Time: ta})
-		ref.Points = append(ref.Points, scaling.Point{Nodes: r, Time: tm})
+		s.Points = append(s.Points, scaling.Point{Nodes: r, Time: t})
 	}
-	return cte, ref, nil
+	return []scaling.Series{s}, nil
 }
 
-// SweepOn returns the TC0511L91 multi-node curve on an arbitrary machine:
-// the paper's node range on the paper machines, a doubling ladder from the
-// memory floor elsewhere (full nodes of MPI ranks either way).
+// SweepOn returns the TC0511L91 multi-node curve of Fig. 15 on an
+// arbitrary machine: the paper's node range on the paper machines, a
+// doubling ladder from the memory floor elsewhere (full nodes of MPI ranks
+// either way).
 func SweepOn(m machine.Machine) ([]scaling.Series, error) {
 	mod, err := NewModel(m, TC0511L91())
 	if err != nil {
@@ -241,33 +231,4 @@ func SweepOn(m machine.Machine) ([]scaling.Series, error) {
 		s.Points = append(s.Points, scaling.Point{Nodes: n, Time: t})
 	}
 	return []scaling.Series{s}, nil
-}
-
-// Figure15 returns the multi-node curves (x = nodes, full nodes of ranks)
-// for TC0511L91.
-func Figure15(arm, mn4 machine.Machine) (cte, ref scaling.Series, err error) {
-	nodeSweep := []int{32, 48, 64, 96, 128}
-	ma, err := NewModel(arm, TC0511L91())
-	if err != nil {
-		return
-	}
-	mm, err := NewModel(mn4, TC0511L91())
-	if err != nil {
-		return
-	}
-	cte = scaling.Series{Machine: arm.Name}
-	ref = scaling.Series{Machine: mn4.Name}
-	for _, n := range nodeSweep {
-		ta, err2 := ma.DayTime(n, n*arm.Node.Cores())
-		if err2 != nil {
-			return cte, ref, err2
-		}
-		tm, err2 := mm.DayTime(n, n*mn4.Node.Cores())
-		if err2 != nil {
-			return cte, ref, err2
-		}
-		cte.Points = append(cte.Points, scaling.Point{Nodes: n, Time: ta})
-		ref.Points = append(ref.Points, scaling.Point{Nodes: n, Time: tm})
-	}
-	return cte, ref, nil
 }

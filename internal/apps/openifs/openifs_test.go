@@ -188,11 +188,22 @@ func TestFig14SingleNodeAnchors(t *testing.T) {
 	}
 }
 
-func TestFig15MultiNodeAnchors(t *testing.T) {
-	cte, ref, err := Figure15(machine.CTEArm(), machine.MareNostrum4())
+// curves returns sweep's curve on CTE-Arm and on MareNostrum 4.
+func curves(t *testing.T, sweep func(machine.Machine) ([]scaling.Series, error)) (cte, ref scaling.Series) {
+	t.Helper()
+	a, err := sweep(machine.CTEArm())
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, err := sweep(machine.MareNostrum4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a[0], m[0]
+}
+
+func TestFig15MultiNodeAnchors(t *testing.T) {
+	cte, ref := curves(t, SweepOn)
 	// Paper: 3.55x at 32 nodes, 2.56x at 128.
 	s32, err := scaling.Slowdown(cte, ref, 32)
 	if err != nil {
@@ -275,10 +286,7 @@ func TestDayTimeValidation(t *testing.T) {
 }
 
 func TestFigure14SeriesShape(t *testing.T) {
-	cte, ref, err := Figure14(machine.CTEArm(), machine.MareNostrum4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cte, ref := curves(t, SingleNodeSweepOn)
 	for _, s := range []scaling.Series{cte, ref} {
 		pts := s.Sorted()
 		if len(pts) != 6 {

@@ -1,7 +1,7 @@
 // Package scaling holds the strong-scaling series type shared by the five
 // application reproductions (Figs. 8-16) and the analysis helpers the paper
-// applies to them: slowdown at equal node counts, node counts needed to
-// match a reference time, and the Table IV speedup rows.
+// applies to them: slowdown at equal node counts and the node count needed
+// to match a reference time.
 package scaling
 
 import (
@@ -39,21 +39,6 @@ func (s Series) TimeAt(nodes int) (units.Seconds, bool) {
 		}
 	}
 	return 0, false
-}
-
-// MinNodes returns the smallest node count in the series (the memory floor
-// the paper marks with "NP" below it).
-func (s Series) MinNodes() int {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	min := s.Points[0].Nodes
-	for _, p := range s.Points {
-		if p.Nodes < min {
-			min = p.Nodes
-		}
-	}
-	return min
 }
 
 // DoublingSweep returns a strong-scaling node ladder for machines outside
@@ -101,49 +86,3 @@ func MatchingNodes(s Series, target units.Seconds) int {
 	}
 	return 0
 }
-
-// SpeedupCell is one entry of Table IV: performance of machine A relative
-// to machine B at equal node count (time B / time A), or a marker.
-type SpeedupCell struct {
-	Nodes   int
-	Speedup float64
-	// NP marks "not possible" (memory floor); NA marks "no measurement".
-	NP, NA bool
-}
-
-// String renders the cell the way Table IV prints it.
-func (c SpeedupCell) String() string {
-	switch {
-	case c.NP:
-		return "NP"
-	case c.NA:
-		return "N/A"
-	default:
-		return fmt.Sprintf("%.2f", c.Speedup)
-	}
-}
-
-// SpeedupRow builds a Table IV row from two series over the table's node
-// counts. A node count below either machine's memory floor yields NP; one
-// that neither series measured yields N/A.
-func SpeedupRow(a, b Series, nodeCounts []int) []SpeedupCell {
-	row := make([]SpeedupCell, 0, len(nodeCounts))
-	for _, n := range nodeCounts {
-		cell := SpeedupCell{Nodes: n}
-		ta, okA := a.TimeAt(n)
-		tb, okB := b.TimeAt(n)
-		switch {
-		case (len(a.Points) > 0 && n < a.MinNodes()) || (len(b.Points) > 0 && n < b.MinNodes()):
-			cell.NP = true
-		case !okA || !okB:
-			cell.NA = true
-		default:
-			cell.Speedup = float64(tb) / float64(ta)
-		}
-		row = append(row, cell)
-	}
-	return row
-}
-
-// TableIVNodeCounts are the columns of Table IV.
-func TableIVNodeCounts() []int { return []int{1, 16, 32, 64, 128, 192} }

@@ -1,10 +1,6 @@
 package scaling
 
-import (
-	"testing"
-
-	"clustereval/internal/units"
-)
+import "testing"
 
 func series(machine string, pts ...Point) Series {
 	return Series{Machine: machine, Points: pts}
@@ -25,16 +21,6 @@ func TestSortedAndTimeAt(t *testing.T) {
 	}
 	if _, ok := s.TimeAt(3); ok {
 		t.Error("TimeAt(3) should miss")
-	}
-}
-
-func TestMinNodes(t *testing.T) {
-	s := series("m", Point{Nodes: 12, Time: 1}, Point{Nodes: 8, Time: 2})
-	if s.MinNodes() != 8 {
-		t.Errorf("MinNodes = %d", s.MinNodes())
-	}
-	if (Series{}).MinNodes() != 0 {
-		t.Error("empty series MinNodes should be 0")
 	}
 }
 
@@ -69,43 +55,5 @@ func TestMatchingNodes(t *testing.T) {
 	}
 	if got := MatchingNodes(s, 1000); got != 12 {
 		t.Errorf("easy target should give the smallest run, got %d", got)
-	}
-}
-
-func TestSpeedupRow(t *testing.T) {
-	a := series("cte",
-		Point{Nodes: 16, Time: units.Seconds(71.5)},
-		Point{Nodes: 32, Time: units.Seconds(36)})
-	b := series("mn4",
-		Point{Nodes: 16, Time: units.Seconds(21.45)},
-		Point{Nodes: 32, Time: units.Seconds(10.8)})
-	row := SpeedupRow(a, b, []int{1, 16, 32, 64})
-	if len(row) != 4 {
-		t.Fatalf("row length %d", len(row))
-	}
-	if !row[0].NP {
-		t.Errorf("1 node should be NP (below both floors): %+v", row[0])
-	}
-	if row[1].NP || row[1].NA || row[1].Speedup < 0.29 || row[1].Speedup > 0.31 {
-		t.Errorf("16-node cell = %+v", row[1])
-	}
-	if !row[3].NA {
-		t.Errorf("64 nodes unmeasured should be N/A: %+v", row[3])
-	}
-	if row[0].String() != "NP" || row[3].String() != "N/A" || row[1].String() != "0.30" {
-		t.Errorf("cell strings: %s %s %s", row[0], row[3], row[1])
-	}
-}
-
-func TestTableIVNodeCounts(t *testing.T) {
-	want := []int{1, 16, 32, 64, 128, 192}
-	got := TableIVNodeCounts()
-	if len(got) != len(want) {
-		t.Fatalf("%v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%v", got)
-		}
 	}
 }

@@ -140,9 +140,9 @@ func sqrt(x float64) float64 {
 // NodeSweep is the paper's Fig. 16 node range.
 func NodeSweep() []int { return []int{1, 2, 4, 8, 16, 32, 64} }
 
-// SweepOn returns the Iberia-4km curves (IO enabled and disabled) on an
-// arbitrary machine: the paper's node range on the paper machines, a
-// doubling ladder elsewhere.
+// SweepOn returns the Iberia-4km curves of Fig. 16 (IO enabled and
+// disabled) on an arbitrary machine: the paper's node range on the paper
+// machines, a doubling ladder elsewhere.
 func SweepOn(m machine.Machine) ([]scaling.Series, error) {
 	mod, err := NewModel(m, Iberia4km())
 	if err != nil {
@@ -167,34 +167,6 @@ func SweepOn(m machine.Machine) ([]scaling.Series, error) {
 			s.Points = append(s.Points, scaling.Point{Nodes: n, Time: t})
 		}
 		out = append(out, s)
-	}
-	return out, nil
-}
-
-// Figure16 returns the four curves of Fig. 16: each machine with IO
-// enabled and disabled.
-func Figure16(arm, mn4 machine.Machine) ([]scaling.Series, error) {
-	var out []scaling.Series
-	for _, m := range []machine.Machine{arm, mn4} {
-		mod, err := NewModel(m, Iberia4km())
-		if err != nil {
-			return nil, err
-		}
-		for _, ioOn := range []bool{true, false} {
-			label := "IO disabled"
-			if ioOn {
-				label = "IO enabled"
-			}
-			s := scaling.Series{Machine: m.Name, Label: label}
-			for _, n := range NodeSweep() {
-				t, err := mod.ElapsedTime(n, ioOn)
-				if err != nil {
-					return nil, err
-				}
-				s.Points = append(s.Points, scaling.Point{Nodes: n, Time: t})
-			}
-			out = append(out, s)
-		}
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"clustereval/internal/apps/scaling"
 	"clustereval/internal/machine"
 )
 
@@ -213,9 +214,13 @@ func TestIOMakesLittleDifference(t *testing.T) {
 }
 
 func TestMN4ConsistentlyOutperforms(t *testing.T) {
-	series, err := Figure16(machine.CTEArm(), machine.MareNostrum4())
-	if err != nil {
-		t.Fatal(err)
+	var series []scaling.Series
+	for _, m := range []machine.Machine{machine.CTEArm(), machine.MareNostrum4()} {
+		s, err := SweepOn(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		series = append(series, s...)
 	}
 	if len(series) != 4 {
 		t.Fatalf("%d series, want 4", len(series))

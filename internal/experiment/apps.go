@@ -13,13 +13,12 @@ import (
 )
 
 // AppInfo is one Section V application in the catalog: its name, the
-// primary scalability figure Table IV scores it by, the model run
-// producing that figure's series for both paper machines, and the
-// single-machine sweep used for machines outside the pair.
+// primary scalability figure Table IV scores it by, and the one-machine
+// sweep producing that figure's curve. The figure runs the sweep on both
+// paper machines; an "app" job runs it on its own machine.
 type AppInfo struct {
 	Name     string
 	Figure   string
-	Series   func(Pair) ([]scaling.Series, error)
 	SeriesOn func(machine.Machine) ([]scaling.Series, error)
 }
 
@@ -41,35 +40,17 @@ func appPartition(m machine.Machine) machine.Machine {
 	return m
 }
 
-// two adapts the common (cte, ref, err) figure signature to a series slice.
-func two(cte, ref scaling.Series, err error) ([]scaling.Series, error) {
-	if err != nil {
-		return nil, err
-	}
-	return []scaling.Series{cte, ref}, nil
-}
-
 // appCatalog is the single source of truth for the applications the "app"
 // kind accepts, in the paper's order: spec validation, the menu of
 // `clustereval app` and the per-app figure labels all derive from it.
 // Adding an application here is the only step needed to expose it
 // everywhere.
 var appCatalog = []AppInfo{
-	{"alya", "Fig. 8",
-		func(p Pair) ([]scaling.Series, error) { return two(alya.Figure8(p.Arm, p.Ref)) },
-		alya.SweepOn},
-	{"nemo", "Fig. 11",
-		func(p Pair) ([]scaling.Series, error) { return two(nemo.Figure11(p.Arm, p.Ref)) },
-		nemo.SweepOn},
-	{"gromacs", "Fig. 13",
-		func(p Pair) ([]scaling.Series, error) { return two(gromacs.Figure13(p.Arm, p.Ref)) },
-		gromacs.SweepOn},
-	{"openifs", "Fig. 15",
-		func(p Pair) ([]scaling.Series, error) { return two(openifs.Figure15(p.Arm, p.Ref)) },
-		openifs.SweepOn},
-	{"wrf", "Fig. 16",
-		func(p Pair) ([]scaling.Series, error) { return wrf.Figure16(p.Arm, p.Ref) },
-		wrf.SweepOn},
+	{"alya", "Fig. 8", func(m machine.Machine) ([]scaling.Series, error) { return alya.SweepOn(m, alya.TimeStep) }},
+	{"nemo", "Fig. 11", nemo.SweepOn},
+	{"gromacs", "Fig. 13", gromacs.SweepOn},
+	{"openifs", "Fig. 15", openifs.SweepOn},
+	{"wrf", "Fig. 16", wrf.SweepOn},
 }
 
 // AppNames returns the catalog's application names in the paper's order.

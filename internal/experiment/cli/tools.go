@@ -375,17 +375,18 @@ func AppBench(app string, seed uint64) error {
 // alyaHighlights prints the equivalence points the paper calls out: how
 // many CTE-Arm nodes match 12 MareNostrum 4 nodes, per Alya phase.
 func alyaHighlights(p figures.Pair) error {
-	for _, phase := range []struct {
-		name   string
-		figure func(arm, ref machine.Machine) (scaling.Series, scaling.Series, error)
-	}{{"time step", alya.Figure8}, {"Assembly", alya.Figure9}, {"Solver", alya.Figure10}} {
-		cte, ref, err := phase.figure(p.Arm, p.Ref)
+	for _, ph := range []alya.Phase{alya.TimeStep, alya.Assembly, alya.Solver} {
+		cte, err := alya.SweepOn(p.Arm, ph)
 		if err != nil {
 			return err
 		}
-		target, _ := ref.TimeAt(12)
+		ref, err := alya.SweepOn(p.Ref, ph)
+		if err != nil {
+			return err
+		}
+		target, _ := ref[0].TimeAt(12)
 		fmt.Printf("Alya: %d CTE-Arm nodes match 12 MareNostrum 4 nodes (%s)\n",
-			scaling.MatchingNodes(cte, target), phase.name)
+			scaling.MatchingNodes(cte[0], target), ph)
 	}
 	fmt.Println()
 	return nil

@@ -60,16 +60,17 @@ func runCanonical(t *testing.T, spec experiment.Spec) []byte {
 	return buf
 }
 
-// update rewrites testdata/schedulers.golden from this build's results.
-var update = flag.Bool("update", false, "rewrite testdata/schedulers.golden")
+// update rewrites the result-hash goldens under testdata from this
+// build's results.
+var update = flag.Bool("update", false, "rewrite testdata/schedulers.golden and testdata/appresults.golden")
 
 const schedulersGolden = "testdata/schedulers.golden"
 
-// readSchedulersGolden parses the golden: one "kind/seedN sha256" line
-// per case.
-func readSchedulersGolden(t *testing.T) map[string]string {
+// readHashGolden parses a result-hash golden: one "case sha256" line per
+// case.
+func readHashGolden(t *testing.T, path string) map[string]string {
 	t.Helper()
-	buf, err := os.ReadFile(schedulersGolden)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
@@ -77,7 +78,7 @@ func readSchedulersGolden(t *testing.T) map[string]string {
 	for _, line := range strings.Split(strings.TrimSpace(string(buf)), "\n") {
 		name, sum, ok := strings.Cut(line, " ")
 		if !ok {
-			t.Fatalf("%s: malformed line %q", schedulersGolden, line)
+			t.Fatalf("%s: malformed line %q", path, line)
 		}
 		want[name] = sum
 	}
@@ -99,7 +100,7 @@ func TestDifferentialSchedulers(t *testing.T) {
 	}
 	var want map[string]string
 	if !*update {
-		want = readSchedulersGolden(t)
+		want = readHashGolden(t, schedulersGolden)
 	}
 	var golden strings.Builder
 	cases := 0

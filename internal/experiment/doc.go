@@ -11,7 +11,8 @@
 //     runner dispatch from it (the keys are byte-stable: the golden
 //     fixtures under testdata/ pin them across refactors);
 //   - internal/figures renders the paper's figures by driving the same
-//     per-kind entry points (Pair.StreamSeries, Pair.AppSeries, ...);
+//     per-kind entry points (Pair.StreamSeriesOn, the catalog's
+//     one-machine application sweeps, ...);
 //   - the cmd/* binaries collapse onto the generic driver in
 //     internal/experiment/cli, which generates their flags from each
 //     kind's parameter schema.

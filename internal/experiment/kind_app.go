@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"clustereval/internal/apps/scaling"
 	"clustereval/internal/machine"
-	"clustereval/internal/units"
 )
 
 func appDef() Definition {
@@ -21,7 +19,7 @@ func appDef() Definition {
 			{Name: "nodes", Type: "int", Default: "0",
 				Usage: "probe one node count of the sweep (0 = whole paper sweep)"},
 			{Name: "faults", Type: "json", Default: "",
-				Usage: "fault scenario injected into the simulated cluster (see internal/faultsim)"},
+				Usage: "fault scenario (see internal/faultsim); an app result sees only a link's extra_latency_seconds"},
 		},
 	}
 }
@@ -57,15 +55,9 @@ func (p *AppParams) Run(ctx context.Context, env Env) (*Result, error) {
 		return nil, err
 	}
 	info, _ := AppByName(p.App)
-	var series []scaling.Series
-	var err error
-	if env.Machine.Name == env.Pair.Arm.Name || env.Machine.Name == env.Pair.Ref.Name {
-		series, err = env.Pair.AppSeries(p.App)
-	} else {
-		// Machines outside the paper pair run the app's single-machine
-		// sweep on a bounded scheduler partition.
-		series, err = info.SeriesOn(appPartition(env.Pair.Member(env.Machine)))
-	}
+	// Member carries the pair's seed and faults onto a paper machine; the
+	// partition bounds a Fugaku-scale machine's schedule.
+	series, err := info.SeriesOn(appPartition(env.Pair.Member(env.Machine)))
 	if err != nil {
 		return nil, err
 	}
@@ -75,17 +67,11 @@ func (p *AppParams) Run(ctx context.Context, env Env) (*Result, error) {
 	m := env.Machine
 	ar := &AppResult{App: p.App, Figure: info.Figure}
 	for _, s := range series {
-		if s.Machine != m.Name {
-			continue
-		}
 		as := AppSeries{Label: s.Label}
 		for _, pt := range s.Sorted() {
 			as.Points = append(as.Points, AppPoint{Nodes: pt.Nodes, Seconds: float64(pt.Time)})
 		}
 		ar.Series = append(ar.Series, as)
-	}
-	if len(ar.Series) == 0 {
-		return nil, fmt.Errorf("experiment: %s has no %s series", p.App, m.Name)
 	}
 	summary := fmt.Sprintf("%s (%s) on %s: %d-point scalability sweep",
 		p.App, ar.Figure, m.Name, len(ar.Series[0].Points))
@@ -99,7 +85,7 @@ func (p *AppParams) Run(ctx context.Context, env Env) (*Result, error) {
 		}
 	}
 	if p.Nodes > 0 {
-		t, ok := timeAt(series, m.Name, p.Nodes)
+		t, ok := series[0].TimeAt(p.Nodes)
 		if !ok {
 			return nil, invalidf("%s has no %d-node point on %s in the paper's sweep",
 				p.App, p.Nodes, m.Name)
@@ -109,21 +95,8 @@ func (p *AppParams) Run(ctx context.Context, env Env) (*Result, error) {
 			p.App, ar.Figure, p.Nodes, m.Name, t)
 	}
 	var energy *EnergyResult
-	if t, ok := timeAt(series, m.Name, energyNodes); ok {
+	if t, ok := series[0].TimeAt(energyNodes); ok {
 		energy = appEnergy(env.Pair.Member(m), energyNodes, t)
 	}
 	return &Result{Kind: KindApp, Machine: m.Name, Summary: summary, App: ar, Energy: energy}, nil
-}
-
-// timeAt finds the sweep time of machineName's first series at nodes.
-func timeAt(series []scaling.Series, machineName string, nodes int) (units.Seconds, bool) {
-	for _, s := range series {
-		if s.Machine != machineName {
-			continue
-		}
-		if t, ok := s.TimeAt(nodes); ok {
-			return t, true
-		}
-	}
-	return 0, false
 }

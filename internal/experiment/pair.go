@@ -1,9 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-
-	"clustereval/internal/apps/scaling"
 	"clustereval/internal/bench/stream"
 	"clustereval/internal/machine"
 	"clustereval/internal/toolchain"
@@ -11,11 +8,11 @@ import (
 )
 
 // Pair holds the two machines under evaluation. The per-kind entry points
-// below (StreamSeries, HybridStreamSeries, AppSeries) are the registry's
-// wiring of each experiment to its paper configuration — Table II builds,
-// array sizes, per-app figure selection — defined once and shared by the
-// figure renderers, the evaluation service and the CLI tools, so all
-// three produce bit-identical numbers.
+// below (StreamSeriesOn, HybridStreamSeriesOn) are the registry's wiring
+// of each experiment to its paper configuration — Table II builds and
+// array sizes — defined once and shared by the figure renderers, the
+// evaluation service and the CLI tools, so all three produce
+// bit-identical numbers.
 type Pair struct {
 	Arm, Ref machine.Machine
 }
@@ -69,20 +66,6 @@ func hybridStreamCompiler(m machine.Machine) toolchain.Compiler {
 	}
 }
 
-// MachineByName resolves one of the pair's machines from its Table I name,
-// preserving any seed plumbed in by PairWithSeed.
-func (p Pair) MachineByName(name string) (machine.Machine, error) {
-	switch name {
-	case p.Arm.Name:
-		return p.Arm, nil
-	case p.Ref.Name:
-		return p.Ref, nil
-	default:
-		return machine.Machine{}, fmt.Errorf("experiment: unknown machine %q (have %q, %q)",
-			name, p.Arm.Name, p.Ref.Name)
-	}
-}
-
 // Member resolves m against the pair: the pair's own copy (carrying any
 // PairWithSeed noise seed) when m is one of the paper machines, and m
 // itself — already seeded by the run layer — otherwise. This is what lets
@@ -97,49 +80,20 @@ func (p Pair) Member(m machine.Machine) machine.Machine {
 	return m
 }
 
-// StreamSeries runs the Fig. 2 OpenMP thread sweep for a single machine and
-// language, with exactly the build and array size the full figure uses —
-// the evaluation service serves per-machine STREAM jobs through this entry
-// point so they match the CLI numbers bit-for-bit.
-func (p Pair) StreamSeries(machineName string, lang toolchain.Language) (stream.Series, error) {
-	m, err := p.MachineByName(machineName)
-	if err != nil {
-		return stream.Series{}, err
-	}
-	return p.StreamSeriesOn(m, lang)
-}
-
-// StreamSeriesOn is StreamSeries for an arbitrary machine descriptor,
-// resolving paper machines through the pair and others directly.
+// StreamSeriesOn runs the Fig. 2 OpenMP thread sweep for one machine and
+// language, with exactly the build and array size the full figure uses,
+// resolving paper machines through the pair and others directly. The
+// evaluation service serves STREAM jobs through this entry point, so they
+// match the CLI numbers bit-for-bit.
 func (p Pair) StreamSeriesOn(m machine.Machine, lang toolchain.Language) (stream.Series, error) {
 	m = p.Member(m)
 	comp, elements := streamSetup(m)
 	return stream.Figure2(m, comp, lang, elements)
 }
 
-// HybridStreamSeries runs the Fig. 3 hybrid MPI+OpenMP sweep for a single
+// HybridStreamSeriesOn runs the Fig. 3 hybrid MPI+OpenMP sweep for one
 // machine and language, using the full figure's build configuration.
-func (p Pair) HybridStreamSeries(machineName string, lang toolchain.Language) (stream.HybridSeries, error) {
-	m, err := p.MachineByName(machineName)
-	if err != nil {
-		return stream.HybridSeries{}, err
-	}
-	return p.HybridStreamSeriesOn(m, lang)
-}
-
-// HybridStreamSeriesOn is HybridStreamSeries for an arbitrary machine.
 func (p Pair) HybridStreamSeriesOn(m machine.Machine, lang toolchain.Language) (stream.HybridSeries, error) {
 	m = p.Member(m)
 	return stream.Figure3(m, hybridStreamCompiler(m), lang)
-}
-
-// AppSeries returns the scalability series of an application's primary
-// figure — the curve Table IV scores it by — for both machines, resolved
-// through the application catalog in apps.go.
-func (p Pair) AppSeries(app string) ([]scaling.Series, error) {
-	info, ok := AppByName(app)
-	if !ok {
-		return nil, fmt.Errorf("experiment: unknown app %q (valid: %s)", app, appNamesJoined())
-	}
-	return info.Series(p)
 }

@@ -33,9 +33,10 @@ import (
 )
 
 // Pair holds the two machines under evaluation. It embeds the registry's
-// experiment.Pair, so the per-kind entry points (StreamSeries,
-// HybridStreamSeries, AppSeries, MachineByName) are the registry's own —
-// the figure renderers below add presentation, not wiring.
+// experiment.Pair, so the per-kind entry points (StreamSeriesOn,
+// HybridStreamSeriesOn) are the registry's own, and each application
+// figure runs its package's one-machine sweep on both machines — the
+// figure renderers below add presentation, not wiring.
 type Pair struct {
 	experiment.Pair
 }
@@ -96,7 +97,7 @@ func (p Pair) Figure2() (*report.Plot, []stream.Series, error) {
 		{p.Ref, toolchain.C},
 		{p.Ref, toolchain.Fortran},
 	} {
-		s, err := p.StreamSeries(cfg.m.Name, cfg.lang)
+		s, err := p.StreamSeriesOn(cfg.m, cfg.lang)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -130,7 +131,7 @@ func (p Pair) Figure3() (*report.Table, []stream.HybridSeries, error) {
 		{p.Ref, toolchain.Fortran},
 		{p.Ref, toolchain.C},
 	} {
-		s, err := p.HybridStreamSeries(cfg.m.Name, cfg.lang)
+		s, err := p.HybridStreamSeriesOn(cfg.m, cfg.lang)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -233,105 +234,75 @@ func (p Pair) Figure7() (*report.Table, []hpcg.Run, error) {
 	return t, runs, nil
 }
 
-// scalingPlot converts scaling series into a log-log plot.
-func scalingPlot(title, ylabel string, series ...scaling.Series) *report.Plot {
-	plot := &report.Plot{Title: title, XLabel: "nodes", YLabel: ylabel, LogX: true, LogY: true}
-	for _, s := range series {
-		name := s.Machine
-		if s.Label != "" {
-			name += " (" + s.Label + ")"
+// sweepPlot runs one application's one-machine sweep on each machine of
+// the pair and plots every curve on log-log axes.
+func (p Pair) sweepPlot(title, xlabel, ylabel string, sweep func(machine.Machine) ([]scaling.Series, error)) (*report.Plot, error) {
+	plot := &report.Plot{Title: title, XLabel: xlabel, YLabel: ylabel, LogX: true, LogY: true}
+	for _, m := range []machine.Machine{p.Arm, p.Ref} {
+		series, err := sweep(m)
+		if err != nil {
+			return nil, err
 		}
-		var xs, ys []float64
-		for _, pt := range s.Sorted() {
-			xs = append(xs, float64(pt.Nodes))
-			ys = append(ys, float64(pt.Time))
+		for _, s := range series {
+			name := s.Machine
+			if s.Label != "" {
+				name += " (" + s.Label + ")"
+			}
+			var xs, ys []float64
+			for _, pt := range s.Sorted() {
+				xs = append(xs, float64(pt.Nodes))
+				ys = append(ys, float64(pt.Time))
+			}
+			plot.Series = append(plot.Series, report.Series{Name: name, X: xs, Y: ys})
 		}
-		plot.Series = append(plot.Series, report.Series{Name: name, X: xs, Y: ys})
 	}
-	return plot
+	return plot, nil
 }
 
 // Figure8 returns Alya's time-step scalability.
 func (p Pair) Figure8() (*report.Plot, error) {
-	cte, ref, err := alya.Figure8(p.Arm, p.Ref)
-	if err != nil {
-		return nil, err
-	}
-	return scalingPlot("Fig. 8: Alya average time step [s]", "seconds", cte, ref), nil
+	return p.sweepPlot("Fig. 8: Alya average time step [s]", "nodes", "seconds",
+		func(m machine.Machine) ([]scaling.Series, error) { return alya.SweepOn(m, alya.TimeStep) })
 }
 
 // Figure9 returns Alya's Assembly-phase scalability.
 func (p Pair) Figure9() (*report.Plot, error) {
-	cte, ref, err := alya.Figure9(p.Arm, p.Ref)
-	if err != nil {
-		return nil, err
-	}
-	return scalingPlot("Fig. 9: Alya Assembly phase [s]", "seconds", cte, ref), nil
+	return p.sweepPlot("Fig. 9: Alya Assembly phase [s]", "nodes", "seconds",
+		func(m machine.Machine) ([]scaling.Series, error) { return alya.SweepOn(m, alya.Assembly) })
 }
 
 // Figure10 returns Alya's Solver-phase scalability.
 func (p Pair) Figure10() (*report.Plot, error) {
-	cte, ref, err := alya.Figure10(p.Arm, p.Ref)
-	if err != nil {
-		return nil, err
-	}
-	return scalingPlot("Fig. 10: Alya Solver phase [s]", "seconds", cte, ref), nil
+	return p.sweepPlot("Fig. 10: Alya Solver phase [s]", "nodes", "seconds",
+		func(m machine.Machine) ([]scaling.Series, error) { return alya.SweepOn(m, alya.Solver) })
 }
 
 // Figure11 returns NEMO's scalability.
 func (p Pair) Figure11() (*report.Plot, error) {
-	cte, ref, err := nemo.Figure11(p.Arm, p.Ref)
-	if err != nil {
-		return nil, err
-	}
-	return scalingPlot("Fig. 11: NEMO execution time [s]", "seconds", cte, ref), nil
+	return p.sweepPlot("Fig. 11: NEMO execution time [s]", "nodes", "seconds", nemo.SweepOn)
 }
 
 // Figure12 returns Gromacs single-node scalability (days/ns vs cores).
 func (p Pair) Figure12() (*report.Plot, error) {
-	cte, ref, err := gromacs.Figure12(p.Arm, p.Ref)
-	if err != nil {
-		return nil, err
-	}
-	plot := scalingPlot("Fig. 12: Gromacs single node [days/ns]", "days/ns", cte, ref)
-	plot.XLabel = "cores"
-	return plot, nil
+	return p.sweepPlot("Fig. 12: Gromacs single node [days/ns]", "cores", "days/ns", gromacs.SingleNodeSweepOn)
 }
 
 // Figure13 returns Gromacs multi-node scalability.
 func (p Pair) Figure13() (*report.Plot, error) {
-	cte, ref, err := gromacs.Figure13(p.Arm, p.Ref)
-	if err != nil {
-		return nil, err
-	}
-	return scalingPlot("Fig. 13: Gromacs across nodes [days/ns]", "days/ns", cte, ref), nil
+	return p.sweepPlot("Fig. 13: Gromacs across nodes [days/ns]", "nodes", "days/ns", gromacs.SweepOn)
 }
 
 // Figure14 returns OpenIFS single-node scalability (seconds/day vs ranks).
 func (p Pair) Figure14() (*report.Plot, error) {
-	cte, ref, err := openifs.Figure14(p.Arm, p.Ref)
-	if err != nil {
-		return nil, err
-	}
-	plot := scalingPlot("Fig. 14: OpenIFS TL255L91, one node [s/day]", "s/day", cte, ref)
-	plot.XLabel = "ranks"
-	return plot, nil
+	return p.sweepPlot("Fig. 14: OpenIFS TL255L91, one node [s/day]", "ranks", "s/day", openifs.SingleNodeSweepOn)
 }
 
 // Figure15 returns OpenIFS multi-node scalability.
 func (p Pair) Figure15() (*report.Plot, error) {
-	cte, ref, err := openifs.Figure15(p.Arm, p.Ref)
-	if err != nil {
-		return nil, err
-	}
-	return scalingPlot("Fig. 15: OpenIFS TC0511L91 across nodes [s/day]", "s/day", cte, ref), nil
+	return p.sweepPlot("Fig. 15: OpenIFS TC0511L91 across nodes [s/day]", "nodes", "s/day", openifs.SweepOn)
 }
 
 // Figure16 returns WRF scalability with and without IO.
 func (p Pair) Figure16() (*report.Plot, error) {
-	series, err := wrf.Figure16(p.Arm, p.Ref)
-	if err != nil {
-		return nil, err
-	}
-	return scalingPlot("Fig. 16: WRF elapsed time [s]", "seconds", series...), nil
+	return p.sweepPlot("Fig. 16: WRF elapsed time [s]", "nodes", "seconds", wrf.SweepOn)
 }

@@ -14,6 +14,7 @@ import (
 	"clustereval/internal/machine"
 	"clustereval/internal/report"
 	"clustereval/internal/toolchain"
+	"clustereval/internal/units"
 )
 
 // TableI renders the hardware configuration table.
@@ -158,202 +159,124 @@ func (p Pair) TableIV() ([]Row, error) {
 	}
 	rows = append(rows, hpcgRow)
 
-	alyaRow, err := p.alyaRow(nodes)
-	if err != nil {
-		return nil, err
+	for _, appRow := range []func([]int) (Row, error){p.alyaRow, p.openifsRow, p.gromacsRow, p.wrfRow, p.nemoRow} {
+		row, err := appRow(nodes)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
 	}
-	rows = append(rows, alyaRow)
-
-	oifsRow, err := p.openifsRow(nodes)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, oifsRow)
-
-	gmxRow, err := p.gromacsRow(nodes)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, gmxRow)
-
-	wrfRow, err := p.wrfRow(nodes)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, wrfRow)
-
-	nemoRow, err := p.nemoRow(nodes)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, nemoRow)
-
 	return rows, nil
 }
 
-func (p Pair) alyaRow(nodes []int) (Row, error) {
-	ma, err := alya.NewModel(p.Arm, alya.TestCaseB())
-	if err != nil {
-		return Row{}, err
+// modelPair builds one application model per machine of the pair.
+func modelPair[C, M any](p Pair, newModel func(machine.Machine, C) (M, error), cfg C) (arm, ref M, err error) {
+	if arm, err = newModel(p.Arm, cfg); err != nil {
+		return arm, ref, err
 	}
-	mm, err := alya.NewModel(p.Ref, alya.TestCaseB())
-	if err != nil {
-		return Row{}, err
-	}
-	row := Row{App: "Alya"}
+	ref, err = newModel(p.Ref, cfg)
+	return arm, ref, err
+}
+
+// speedupRow builds one application row of Table IV. blank marks the
+// cells the paper leaves empty: NP below a memory floor, which wins over
+// N/A where the paper has no measurement. Every other cell is
+// MareNostrum 4's time over CTE-Arm's, each priced on that machine's
+// model.
+func speedupRow[M any](app string, nodes []int, arm, ref M,
+	blank func(n int) (np, na bool), price func(mod M, n int) (units.Seconds, error)) (Row, error) {
+	row := Row{App: app}
 	for _, n := range nodes {
+		c := Cell{Nodes: n}
+		np, na := blank(n)
 		switch {
-		case n < ma.MinNodes() || n < mm.MinNodes():
-			row.Cells = append(row.Cells, Cell{Nodes: n, NP: true})
-		case n > 64: // the paper measured up to 64/78 nodes
-			row.Cells = append(row.Cells, Cell{Nodes: n, NA: true})
+		case np:
+			c.NP = true
+		case na:
+			c.NA = true
 		default:
-			_, _, ta, err := ma.StepTimes(n)
+			ta, err := price(arm, n)
 			if err != nil {
 				return Row{}, err
 			}
-			_, _, tm, err := mm.StepTimes(n)
+			tm, err := price(ref, n)
 			if err != nil {
 				return Row{}, err
 			}
-			row.Cells = append(row.Cells, Cell{Nodes: n, Speedup: float64(tm) / float64(ta)})
+			c.Speedup = float64(tm) / float64(ta)
 		}
+		row.Cells = append(row.Cells, c)
 	}
 	return row, nil
+}
+
+func (p Pair) alyaRow(nodes []int) (Row, error) {
+	ma, mm, err := modelPair(p, alya.NewModel, alya.TestCaseB())
+	if err != nil {
+		return Row{}, err
+	}
+	return speedupRow("Alya", nodes, ma, mm,
+		// The paper measured up to 64/78 nodes.
+		func(n int) (bool, bool) { return n < ma.MinNodes() || n < mm.MinNodes(), n > 64 },
+		func(mod *alya.Model, n int) (units.Seconds, error) {
+			_, _, total, err := mod.StepTimes(n)
+			return total, err
+		})
 }
 
 func (p Pair) openifsRow(nodes []int) (Row, error) {
-	singleA, err := openifs.NewModel(p.Arm, openifs.TL255L91())
+	singleA, singleM, err := modelPair(p, openifs.NewModel, openifs.TL255L91())
 	if err != nil {
 		return Row{}, err
 	}
-	singleM, err := openifs.NewModel(p.Ref, openifs.TL255L91())
+	multiA, multiM, err := modelPair(p, openifs.NewModel, openifs.TC0511L91())
 	if err != nil {
 		return Row{}, err
 	}
-	multiA, err := openifs.NewModel(p.Arm, openifs.TC0511L91())
-	if err != nil {
-		return Row{}, err
-	}
-	multiM, err := openifs.NewModel(p.Ref, openifs.TC0511L91())
-	if err != nil {
-		return Row{}, err
-	}
-	row := Row{App: "OpenIFS"}
 	cores := p.Arm.Node.Cores()
-	for _, n := range nodes {
-		switch {
-		case n == 1:
-			ta, err := singleA.DayTime(1, cores)
-			if err != nil {
-				return Row{}, err
+	// One node runs the single-node input (Fig. 14), more run TC0511L91.
+	return speedupRow("OpenIFS", nodes, [2]*openifs.Model{singleA, multiA}, [2]*openifs.Model{singleM, multiM},
+		func(n int) (bool, bool) { return n != 1 && n < multiA.MinNodes(), n > 128 },
+		func(mods [2]*openifs.Model, n int) (units.Seconds, error) {
+			if n == 1 {
+				return mods[0].DayTime(1, cores)
 			}
-			tm, err := singleM.DayTime(1, cores)
-			if err != nil {
-				return Row{}, err
-			}
-			row.Cells = append(row.Cells, Cell{Nodes: n, Speedup: float64(tm) / float64(ta)})
-		case n < multiA.MinNodes():
-			row.Cells = append(row.Cells, Cell{Nodes: n, NP: true})
-		case n > 128:
-			row.Cells = append(row.Cells, Cell{Nodes: n, NA: true})
-		default:
-			ta, err := multiA.DayTime(n, n*cores)
-			if err != nil {
-				return Row{}, err
-			}
-			tm, err := multiM.DayTime(n, n*cores)
-			if err != nil {
-				return Row{}, err
-			}
-			row.Cells = append(row.Cells, Cell{Nodes: n, Speedup: float64(tm) / float64(ta)})
-		}
-	}
-	return row, nil
+			return mods[1].DayTime(n, n*cores)
+		})
 }
 
 func (p Pair) gromacsRow(nodes []int) (Row, error) {
-	ma, err := gromacs.NewModel(p.Arm, gromacs.LignocelluloseRF())
+	ma, mm, err := modelPair(p, gromacs.NewModel, gromacs.LignocelluloseRF())
 	if err != nil {
 		return Row{}, err
 	}
-	mm, err := gromacs.NewModel(p.Ref, gromacs.LignocelluloseRF())
-	if err != nil {
-		return Row{}, err
-	}
-	row := Row{App: "Gromacs"}
-	for _, n := range nodes {
-		l := gromacs.Layout{Nodes: n, Ranks: 8 * n, ThreadsPerRank: 6}
-		ta, err := ma.StepTime(l)
-		if err != nil {
-			return Row{}, err
-		}
-		tm, err := mm.StepTime(l)
-		if err != nil {
-			return Row{}, err
-		}
-		row.Cells = append(row.Cells, Cell{Nodes: n, Speedup: float64(tm) / float64(ta)})
-	}
-	return row, nil
+	return speedupRow("Gromacs", nodes, ma, mm,
+		func(int) (bool, bool) { return false, false },
+		func(mod *gromacs.Model, n int) (units.Seconds, error) {
+			return mod.StepTime(gromacs.Layout{Nodes: n, Ranks: 8 * n, ThreadsPerRank: 6})
+		})
 }
 
 func (p Pair) wrfRow(nodes []int) (Row, error) {
-	ma, err := wrf.NewModel(p.Arm, wrf.Iberia4km())
+	ma, mm, err := modelPair(p, wrf.NewModel, wrf.Iberia4km())
 	if err != nil {
 		return Row{}, err
 	}
-	mm, err := wrf.NewModel(p.Ref, wrf.Iberia4km())
-	if err != nil {
-		return Row{}, err
-	}
-	row := Row{App: "WRF"}
-	for _, n := range nodes {
-		if n > 64 { // the paper measured up to 64 nodes
-			row.Cells = append(row.Cells, Cell{Nodes: n, NA: true})
-			continue
-		}
-		ta, err := ma.ElapsedTime(n, true)
-		if err != nil {
-			return Row{}, err
-		}
-		tm, err := mm.ElapsedTime(n, true)
-		if err != nil {
-			return Row{}, err
-		}
-		row.Cells = append(row.Cells, Cell{Nodes: n, Speedup: float64(tm) / float64(ta)})
-	}
-	return row, nil
+	return speedupRow("WRF", nodes, ma, mm,
+		// The paper measured up to 64 nodes.
+		func(n int) (bool, bool) { return false, n > 64 },
+		func(mod *wrf.Model, n int) (units.Seconds, error) { return mod.ElapsedTime(n, true) })
 }
 
 func (p Pair) nemoRow(nodes []int) (Row, error) {
-	ma, err := nemo.NewModel(p.Arm, nemo.BenchORCA1())
+	ma, mm, err := modelPair(p, nemo.NewModel, nemo.BenchORCA1())
 	if err != nil {
 		return Row{}, err
 	}
-	mm, err := nemo.NewModel(p.Ref, nemo.BenchORCA1())
-	if err != nil {
-		return Row{}, err
-	}
-	row := Row{App: "NEMO"}
-	for _, n := range nodes {
-		switch {
-		case n < ma.MinNodes():
-			row.Cells = append(row.Cells, Cell{Nodes: n, NP: true})
-		case n != 16: // the paper reports only the 16-node comparison
-			row.Cells = append(row.Cells, Cell{Nodes: n, NA: true})
-		default:
-			ta, err := ma.ExecutionTime(n)
-			if err != nil {
-				return Row{}, err
-			}
-			tm, err := mm.ExecutionTime(n)
-			if err != nil {
-				return Row{}, err
-			}
-			row.Cells = append(row.Cells, Cell{Nodes: n, Speedup: float64(tm) / float64(ta)})
-		}
-	}
-	return row, nil
+	return speedupRow("NEMO", nodes, ma, mm,
+		// The paper reports only the 16-node comparison.
+		func(n int) (bool, bool) { return n < ma.MinNodes(), n != 16 },
+		(*nemo.Model).ExecutionTime)
 }
 
 // RenderTableIV formats the rows as the paper's Table IV.

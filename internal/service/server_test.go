@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"clustereval/internal/figures"
+	"clustereval/internal/machine"
 	"clustereval/internal/toolchain"
 )
 
@@ -113,7 +114,7 @@ func TestEndToEndStreamMatchesFigures(t *testing.T) {
 
 	// The service must agree bit-for-bit with the figure pipeline the CLI
 	// uses (same build config, element count and noise seeds).
-	want, err := figures.Default().StreamSeries("CTE-Arm", toolchain.C)
+	want, err := figures.Default().StreamSeriesOn(machine.CTEArm(), toolchain.C)
 	if err != nil {
 		t.Fatal(err)
 	}
