@@ -113,9 +113,8 @@ benchdiff-engine:
 # kind's results must hash to testdata/schedulers.golden
 # (internal/experiment) on both queues: the calendar queue in the first
 # run, the reference heap under the tag. The placement oracle also covers
-# the fat-tree shapes where per-leaf seed pricing has edge cases, and the
-# tori where idle seed pricing (a convolution of per-dimension histograms)
-# has them.
+# the tori where seed pricing (a convolution of per-dimension histograms)
+# has edge cases.
 difftest:
 	$(GO) test -run 'Differential|Oracle|Fuzz|CondSignal|WorkerReuse|ViewGoldens' -v ./internal/des/... ./internal/experiment/ ./internal/sched/ ./internal/perfmodel/ ./internal/interconnect/ ./internal/simdvec/ ./internal/stats/ ./internal/xrand/ ./internal/bench/osu/ ./internal/service/ ./internal/fleet/
 	$(GO) test -tags desrefqueue ./internal/des/...

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -102,22 +103,35 @@ func TestSchemaFlagsFollowRegistry(t *testing.T) {
 // TestRunUnknownToolAndBadFlag pins the exit codes: an unknown
 // subcommand, an unknown flag or a stray argument is a usage error (2)
 // whose message names the valid subcommands or the bad flag, -h is not
-// an error (0), and a run that fails exits 1.
+// an error (0), and a run that fails exits 1. A -table or -figure the
+// paper has no artefact for, or the two set together, fails the run
+// before anything is printed.
 func TestRunUnknownToolAndBadFlag(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
+		code int
 		want string
 	}{
-		{[]string{"bogus"}, "fpu|stream|net|hpl|hpcg|app"},
-		{[]string{"-table", "4", "extra"}, `unexpected argument "extra"`},
-		{[]string{"hpl", "-nodes", "64"}, "-nodes"},
-		{[]string{"net", "extra"}, `unexpected argument "extra"`},
-		{[]string{"-definitely-not-a-flag"}, "-definitely-not-a-flag"},
+		{[]string{"bogus"}, 2, "fpu|stream|net|hpl|hpcg|app"},
+		{[]string{"-table", "4", "extra"}, 2, `unexpected argument "extra"`},
+		{[]string{"hpl", "-nodes", "64"}, 2, "-nodes"},
+		{[]string{"net", "extra"}, 2, `unexpected argument "extra"`},
+		{[]string{"-definitely-not-a-flag"}, 2, "-definitely-not-a-flag"},
+		{[]string{"-table", "-1"}, 1, "no table -1 (valid: 1..4)"},
+		{[]string{"-table", "5"}, 1, "no table 5 (valid: 1..4)"},
+		{[]string{"-figure", "-2"}, 1, "no figure -2 (valid: 1..16)"},
+		{[]string{"-figure", "17"}, 1, "no figure 17 (valid: 1..16)"},
+		{[]string{"-table", "2", "-figure", "5"}, 1, "table 2 and figure 5 both selected"},
+		{[]string{"-table", "-1", "-figure", "-2"}, 1, "table -1 and figure -2 both selected"},
 	} {
 		var code int
-		msg := captureStderr(t, func() { code = Main(tc.args) })
-		if code != 2 || !strings.Contains(msg, tc.want) {
-			t.Errorf("clustereval %v: exit %d, stderr %q; want exit 2 naming %q", tc.args, code, msg, tc.want)
+		var stdout string
+		msg := captureStderr(t, func() { stdout = redirect(t, &os.Stdout, func() { code = Main(tc.args) }) })
+		if code != tc.code || !strings.Contains(msg, tc.want) {
+			t.Errorf("clustereval %v: exit %d, stderr %q; want exit %d naming %q", tc.args, code, msg, tc.code, tc.want)
+		}
+		if stdout != "" {
+			t.Errorf("clustereval %v printed %d bytes on stdout before failing", tc.args, len(stdout))
 		}
 	}
 	if code := Main([]string{"net", "-h"}); code != 0 {

@@ -44,19 +44,23 @@ func RunKind(ctx context.Context, kind, params string, w io.Writer) error {
 	return enc.Encode(res)
 }
 
-// Eval reproduces the paper's tables and figures on stdout: everything by
-// default, or one table / one figure when selected.
+// Eval reproduces the paper's tables and figures on stdout: everything
+// when table and figure are both 0, or the one table or one figure
+// selected. It refuses a selector the paper has no artefact for, and a
+// table and a figure selected together.
 func Eval(table, figure int, csv bool) error {
 	pair := figures.Default()
 	arts := figures.Artefacts()
 	switch {
-	case table > 0:
+	case table != 0 && figure != 0:
+		return fmt.Errorf("table %d and figure %d both selected (select one, or neither for all)", table, figure)
+	case table != 0:
 		i := slices.IndexFunc(arts, func(a figures.Artefact) bool { return a.Table == table })
 		if i < 0 {
 			return fmt.Errorf("no table %d (valid: 1..4)", table)
 		}
 		return emit(pair, arts[i], csv)
-	case figure > 0:
+	case figure != 0:
 		i := slices.IndexFunc(arts, func(a figures.Artefact) bool { return a.Figure == figure })
 		if i < 0 {
 			return fmt.Errorf("no figure %d (valid: 1..16)", figure)

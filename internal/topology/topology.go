@@ -261,8 +261,8 @@ func (f *FatTree) Name() string { return "fat-tree" }
 // Nodes implements Topology.
 func (f *FatTree) Nodes() int { return f.nodes }
 
-// Leaf returns the edge-switch index of node i.
-func (f *FatTree) Leaf(i int) int {
+// leaf returns the edge-switch index of node i.
+func (f *FatTree) leaf(i int) int {
 	if i < 0 || i >= f.nodes {
 		panic(fmt.Sprintf("topology: node %d out of range [0,%d)", i, f.nodes))
 	}
@@ -274,7 +274,7 @@ func (f *FatTree) Hops(a, b int) int {
 	if a == b {
 		return 0
 	}
-	if f.Leaf(a) == f.Leaf(b) {
+	if f.leaf(a) == f.leaf(b) {
 		return 2
 	}
 	return 4
@@ -283,17 +283,17 @@ func (f *FatTree) Hops(a, b int) int {
 // HopRows implements Topology: each node's leaf is found once, and a
 // node's distance from src follows Hops' rule from the two leaves.
 func (f *FatTree) HopRows(nodes []int) func(src, from int, hops []int) {
-	leaf := make([]int, len(nodes))
+	leaves := make([]int, len(nodes))
 	for k, node := range nodes {
-		leaf[k] = f.Leaf(node)
+		leaves[k] = f.leaf(node)
 	}
 	return func(src, from int, hops []int) {
-		srcLeaf := f.Leaf(src)
+		srcLeaf := f.leaf(src)
 		for j := from; j < len(nodes); j++ {
 			switch {
 			case nodes[j] == src:
 				hops[j] = 0
-			case leaf[j] == srcLeaf:
+			case leaves[j] == srcLeaf:
 				hops[j] = 2
 			default:
 				hops[j] = 4
