@@ -8,114 +8,6 @@ import (
 	"clustereval/internal/machine"
 )
 
-// --- Real FEM proxy ---
-
-func TestFEMManufacturedSolution(t *testing.T) {
-	// -∆u = 2π² sin(πx) sin(πy) has solution u = sin(πx) sin(πy) with
-	// homogeneous Dirichlet boundary.
-	mesh, err := NewMesh(24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(x, y float64) float64 {
-		return 2 * math.Pi * math.Pi * math.Sin(math.Pi*x) * math.Sin(math.Pi*y)
-	}
-	zero := func(x, y float64) float64 { return 0 }
-	sys := Assemble(mesh, f, zero)
-	u, iters, err := sys.SolveCG(2000, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iters <= 0 {
-		t.Error("CG reported zero iterations")
-	}
-	// Max nodal error of P1 on this grid is O(h^2) ~ 4e-3.
-	maxErr := 0.0
-	for i, v := range mesh.Verts {
-		exact := math.Sin(math.Pi*v[0]) * math.Sin(math.Pi*v[1])
-		if e := math.Abs(u[i] - exact); e > maxErr {
-			maxErr = e
-		}
-	}
-	if maxErr > 6e-3 {
-		t.Errorf("max nodal error = %v, want O(h^2) ~ 4e-3", maxErr)
-	}
-}
-
-func TestFEMConvergenceOrder(t *testing.T) {
-	// Halving h must cut the error by ~4 (second order).
-	errAt := func(n int) float64 {
-		mesh, _ := NewMesh(n)
-		f := func(x, y float64) float64 {
-			return 2 * math.Pi * math.Pi * math.Sin(math.Pi*x) * math.Sin(math.Pi*y)
-		}
-		sys := Assemble(mesh, f, func(x, y float64) float64 { return 0 })
-		u, _, err := sys.SolveCG(5000, 1e-12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		max := 0.0
-		for i, v := range mesh.Verts {
-			exact := math.Sin(math.Pi*v[0]) * math.Sin(math.Pi*v[1])
-			if e := math.Abs(u[i] - exact); e > max {
-				max = e
-			}
-		}
-		return max
-	}
-	e1, e2 := errAt(8), errAt(16)
-	order := math.Log2(e1 / e2)
-	if order < 1.6 || order > 2.5 {
-		t.Errorf("convergence order = %.2f, want ~2", order)
-	}
-}
-
-func TestFEMDirichletBoundary(t *testing.T) {
-	// With f=0 and boundary g=5, the solution is constant 5.
-	mesh, _ := NewMesh(10)
-	sys := Assemble(mesh, func(x, y float64) float64 { return 0 },
-		func(x, y float64) float64 { return 5 })
-	u, _, err := sys.SolveCG(2000, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range u {
-		if math.Abs(v-5) > 1e-6 {
-			t.Fatalf("u[%d] = %v, want 5 (harmonic with constant boundary)", i, v)
-		}
-	}
-}
-
-func TestStiffnessSymmetric(t *testing.T) {
-	mesh, _ := NewMesh(6)
-	sys := Assemble(mesh, func(x, y float64) float64 { return 1 },
-		func(x, y float64) float64 { return 0 })
-	for i, row := range sys.A.Rows {
-		for j, v := range row {
-			if math.Abs(v-sys.A.Rows[j][i]) > 1e-12 {
-				t.Fatalf("stiffness not symmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestMeshErrors(t *testing.T) {
-	if _, err := NewMesh(0); err == nil {
-		t.Error("zero mesh accepted")
-	}
-	mesh, _ := NewMesh(4)
-	if len(mesh.Tris) != 32 {
-		t.Errorf("4x4 mesh has %d triangles, want 32", len(mesh.Tris))
-	}
-	sys := Assemble(mesh, func(x, y float64) float64 { return 1 },
-		func(x, y float64) float64 { return 0 })
-	if _, _, err := sys.SolveCG(0, 1e-6); err == nil {
-		t.Error("zero maxIter accepted")
-	}
-}
-
-// --- Paper-scale model ---
-
 func models(t *testing.T) (*Model, *Model) {
 	t.Helper()
 	ma, err := NewModel(machine.CTEArm(), TestCaseB())

@@ -1,3 +1,15 @@
+// Package alya reproduces the paper's Alya experiments (Section V-A).
+//
+// Alya is BSC's multi-physics finite-element code; the paper runs the
+// TestCaseB input (a 132-million-element sphere mesh) and dissects each
+// time step into the compute-bound Assembly phase and the memory/
+// communication-bound Solver phase.
+//
+// The package is the paper-scale phase model that regenerates Figs. 8, 9
+// and 10 and the Alya row of Table IV. Assembly is an element loop priced
+// as application code, which GCC leaves scalar on A64FX; the solver is a
+// bandwidth-bound SpMV plus a scalar, indirection-heavy preconditioner,
+// with two allreduces and an unstructured halo exchange per CG iteration.
 package alya
 
 import (

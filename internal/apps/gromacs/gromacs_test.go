@@ -8,127 +8,6 @@ import (
 	"clustereval/internal/machine"
 )
 
-// --- Real MD proxy ---
-
-func TestEnergyConservation(t *testing.T) {
-	s, err := NewSystem(256, 0.5, 2.5, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pot := s.ComputeForces()
-	e0 := pot + s.KineticEnergy()
-	var drift float64
-	const steps = 200
-	for i := 0; i < steps; i++ {
-		pot = s.Step(0.004)
-		e := pot + s.KineticEnergy()
-		if d := math.Abs(e - e0); d > drift {
-			drift = d
-		}
-	}
-	rel := drift / math.Abs(e0)
-	if rel > 2e-3 {
-		t.Errorf("energy drift %.2e relative over %d steps", rel, steps)
-	}
-}
-
-func TestMomentumConservation(t *testing.T) {
-	s, err := NewSystem(125, 0.4, 2.5, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.ComputeForces()
-	for i := 0; i < 100; i++ {
-		s.Step(0.004)
-	}
-	p := s.Momentum()
-	for d := 0; d < 3; d++ {
-		if math.Abs(p[d]) > 1e-9 {
-			t.Errorf("momentum[%d] = %v, want ~0 (Newton's third law)", d, p[d])
-		}
-	}
-}
-
-func TestForcesNewtonThirdLaw(t *testing.T) {
-	s, err := NewSystem(64, 0.6, 2.0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.ComputeForces()
-	var sum [3]float64
-	for _, f := range s.Force {
-		for d := 0; d < 3; d++ {
-			sum[d] += f[d]
-		}
-	}
-	for d := 0; d < 3; d++ {
-		if math.Abs(sum[d]) > 1e-9 {
-			t.Errorf("net force[%d] = %v", d, sum[d])
-		}
-	}
-}
-
-func TestCellListMatchesBruteForce(t *testing.T) {
-	s, err := NewSystem(80, 0.3, 2.0, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	potCell := s.ComputeForces()
-	cellForces := append([][3]float64(nil), s.Force...)
-
-	// Brute-force O(N^2) reference with the same shifted-force LJ.
-	ref := make([][3]float64, s.N)
-	potRef := 0.0
-	rc2 := s.Cutoff * s.Cutoff
-	for i := 0; i < s.N; i++ {
-		for j := i + 1; j < s.N; j++ {
-			dx := s.minimumImage(s.Pos[i][0] - s.Pos[j][0])
-			dy := s.minimumImage(s.Pos[i][1] - s.Pos[j][1])
-			dz := s.minimumImage(s.Pos[i][2] - s.Pos[j][2])
-			r2 := dx*dx + dy*dy + dz*dz
-			if r2 >= rc2 || r2 == 0 {
-				continue
-			}
-			r := math.Sqrt(r2)
-			ir2 := 1 / r2
-			ir6 := ir2 * ir2 * ir2
-			fOverR := (48*ir6*ir6-24*ir6)*ir2 - s.fShift/r
-			potRef += 4*(ir6*ir6-ir6) + s.fShift*r - s.uShift
-			ref[i][0] += fOverR * dx
-			ref[i][1] += fOverR * dy
-			ref[i][2] += fOverR * dz
-			ref[j][0] -= fOverR * dx
-			ref[j][1] -= fOverR * dy
-			ref[j][2] -= fOverR * dz
-		}
-	}
-	if math.Abs(potCell-potRef) > 1e-9*math.Abs(potRef) {
-		t.Errorf("potential: cell %v vs brute %v", potCell, potRef)
-	}
-	for i := range ref {
-		for d := 0; d < 3; d++ {
-			if math.Abs(cellForces[i][d]-ref[i][d]) > 1e-9 {
-				t.Fatalf("force mismatch particle %d dim %d: %v vs %v",
-					i, d, cellForces[i][d], ref[i][d])
-			}
-		}
-	}
-}
-
-func TestNewSystemErrors(t *testing.T) {
-	if _, err := NewSystem(0, 0.5, 2.5, 1); err == nil {
-		t.Error("zero particles accepted")
-	}
-	if _, err := NewSystem(10, -1, 2.5, 1); err == nil {
-		t.Error("negative density accepted")
-	}
-	if _, err := NewSystem(8, 0.5, 100, 1); err == nil {
-		t.Error("cutoff larger than half box accepted")
-	}
-}
-
-// --- Paper-scale model ---
-
 func TestFig12SingleNodeAnchors(t *testing.T) {
 	ma, err := NewModel(machine.CTEArm(), LignocelluloseRF())
 	if err != nil {

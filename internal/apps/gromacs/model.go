@@ -1,3 +1,15 @@
+// Package gromacs reproduces the paper's Gromacs experiments (Section V-C).
+//
+// Gromacs is a molecular-dynamics engine; the paper runs the UEABS
+// lignocellulose-rf input (reaction-field electrostatics, 10000 steps) with
+// hybrid MPI x OpenMP parallelization, 6 OpenMP threads per rank.
+//
+// The package is the paper-scale step model of that hybrid run: the SIMD
+// nonbonded kernel, scalar bonded and bookkeeping work, memory traffic at
+// the bandwidth the layout's threads reach, and domain-decomposition halo
+// pulses and synchronisation rounds across nodes. It regenerates Fig. 12
+// (single node), Fig. 13 (multi-node, including the unexplained 16-rank
+// anomaly and the 12x8 alternative) and the Gromacs row of Table IV.
 package gromacs
 
 import (

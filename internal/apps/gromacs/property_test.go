@@ -1,79 +1,11 @@
 package gromacs
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
 	"clustereval/internal/machine"
 )
-
-// Property: for any modest system, forces sum to zero (Newton's third law
-// survives the cell-list bookkeeping) and a velocity-Verlet step conserves
-// momentum exactly.
-func TestForcesAndMomentumProperty(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 15}
-	f := func(seed uint64, nRaw uint8) bool {
-		// Keep the box above twice the cutoff for every generated n.
-		n := int(nRaw%150) + 30
-		s, err := NewSystem(n, 0.4, 2.0, seed)
-		if err != nil {
-			return false
-		}
-		s.ComputeForces()
-		var fsum [3]float64
-		for _, fv := range s.Force {
-			for d := 0; d < 3; d++ {
-				fsum[d] += fv[d]
-			}
-		}
-		for d := 0; d < 3; d++ {
-			if math.Abs(fsum[d]) > 1e-8 {
-				return false
-			}
-		}
-		for i := 0; i < 5; i++ {
-			s.Step(0.002)
-		}
-		p := s.Momentum()
-		for d := 0; d < 3; d++ {
-			if math.Abs(p[d]) > 1e-8 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: particles stay inside the periodic box through any short run.
-func TestParticlesStayInBoxProperty(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 10}
-	f := func(seed uint64, stepsRaw uint8) bool {
-		s, err := NewSystem(64, 0.5, 2.0, seed)
-		if err != nil {
-			return false
-		}
-		s.ComputeForces()
-		steps := int(stepsRaw%30) + 1
-		for i := 0; i < steps; i++ {
-			s.Step(0.002)
-		}
-		for _, p := range s.Pos {
-			for d := 0; d < 3; d++ {
-				if p[d] < 0 || p[d] >= s.Box {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
 
 // Property: the multi-node model's step time strictly decreases with node
 // count at fixed layout density (no anomaly configurations).

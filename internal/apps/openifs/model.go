@@ -1,3 +1,14 @@
+// Package openifs reproduces the paper's OpenIFS experiments (Section V-D).
+//
+// OpenIFS is ECMWF's spectral numerical-weather-prediction system. The
+// paper runs the TL255L91 input on single nodes (Fig. 14) and TC0511L91
+// across nodes (Fig. 15).
+//
+// The package is the paper-scale model of a forecast day: grid-point
+// physics, dynamics and spectral-transform compute, memory traffic at the
+// bandwidth the occupied cores reach, and the pipelined all-to-all
+// transpositions between grid-point and spectral space across nodes. It
+// regenerates Figs. 14 and 15 and the OpenIFS row of Table IV.
 package openifs
 
 import (

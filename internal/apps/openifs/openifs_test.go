@@ -2,166 +2,11 @@ package openifs
 
 import (
 	"math"
-	"math/cmplx"
 	"testing"
 
 	"clustereval/internal/apps/scaling"
 	"clustereval/internal/machine"
 )
-
-// --- Real spectral machinery ---
-
-func TestFFTMatchesNaiveDFT(t *testing.T) {
-	const n = 64
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(math.Sin(float64(i)*0.7), math.Cos(float64(i)*1.3))
-	}
-	want := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		for j := 0; j < n; j++ {
-			ang := -2 * math.Pi * float64(k*j) / n
-			want[k] += x[j] * cmplx.Exp(complex(0, ang))
-		}
-	}
-	got := append([]complex128(nil), x...)
-	if err := FFT(got); err != nil {
-		t.Fatal(err)
-	}
-	for k := range want {
-		if cmplx.Abs(got[k]-want[k]) > 1e-9 {
-			t.Fatalf("FFT[%d] = %v, DFT %v", k, got[k], want[k])
-		}
-	}
-}
-
-func TestFFTRoundTrip(t *testing.T) {
-	for _, n := range []int{1, 2, 8, 256, 1024} {
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(float64(i%7)-3, float64(i%5))
-		}
-		orig := append([]complex128(nil), x...)
-		if err := FFT(x); err != nil {
-			t.Fatal(err)
-		}
-		if err := IFFT(x); err != nil {
-			t.Fatal(err)
-		}
-		for i := range x {
-			if cmplx.Abs(x[i]-orig[i]) > 1e-10 {
-				t.Fatalf("n=%d: round trip failed at %d", n, i)
-			}
-		}
-	}
-}
-
-func TestFFTParseval(t *testing.T) {
-	const n = 128
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(math.Sin(0.3*float64(i)), 0)
-	}
-	timeE := 0.0
-	for _, v := range x {
-		timeE += real(v)*real(v) + imag(v)*imag(v)
-	}
-	if err := FFT(x); err != nil {
-		t.Fatal(err)
-	}
-	freqE := 0.0
-	for _, v := range x {
-		freqE += real(v)*real(v) + imag(v)*imag(v)
-	}
-	if math.Abs(freqE/float64(n)-timeE) > 1e-9*timeE {
-		t.Errorf("Parseval violated: %v vs %v", freqE/float64(n), timeE)
-	}
-}
-
-func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
-	if err := FFT(make([]complex128, 12)); err == nil {
-		t.Error("length 12 accepted")
-	}
-	if err := FFT(nil); err == nil {
-		t.Error("empty accepted")
-	}
-	if err := IFFT(make([]complex128, 3)); err == nil {
-		t.Error("IFFT length 3 accepted")
-	}
-}
-
-func TestSpectralDerivativeExact(t *testing.T) {
-	// d/dx sin(2*pi*3x/L) = (6*pi/L) cos(...): spectral differentiation is
-	// exact for resolved modes.
-	const n = 64
-	L := 2.0
-	u := make([]float64, n)
-	for i := range u {
-		x := L * float64(i) / n
-		u[i] = math.Sin(2 * math.Pi * 3 * x / L)
-	}
-	du, err := SpectralDerivative(u, L)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range du {
-		x := L * float64(i) / n
-		want := (2 * math.Pi * 3 / L) * math.Cos(2*math.Pi*3*x/L)
-		if math.Abs(du[i]-want) > 1e-9 {
-			t.Fatalf("derivative at %d: %v, want %v", i, du[i], want)
-		}
-	}
-	if _, err := SpectralDerivative(u, 0); err == nil {
-		t.Error("zero-length domain accepted")
-	}
-}
-
-func TestSpectralSolverAdvectsAndDecays(t *testing.T) {
-	// u_t + a u_x = nu u_xx with u0 = sin(kx) has the exact solution
-	// exp(-nu k^2 t) sin(k(x - a t)).
-	const n = 128
-	L := 2 * math.Pi
-	a, nu := 1.5, 0.02
-	u0 := make([]float64, n)
-	for i := range u0 {
-		x := L * float64(i) / n
-		u0[i] = math.Sin(2 * x)
-	}
-	s, err := NewSpectralSolver(u0, L, a, nu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const dt, steps = 0.01, 150
-	for i := 0; i < steps; i++ {
-		s.Step(dt)
-	}
-	u, err := s.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tt := dt * steps
-	for i := range u {
-		x := L * float64(i) / n
-		want := math.Exp(-nu*4*tt) * math.Sin(2*(x-a*tt))
-		if math.Abs(u[i]-want) > 1e-9 {
-			t.Fatalf("solution at %d: %v, want %v", i, u[i], want)
-		}
-	}
-}
-
-func TestSpectralSolverValidation(t *testing.T) {
-	if _, err := NewSpectralSolver(make([]float64, 12), 1, 1, 0.1); err == nil {
-		t.Error("non-power-of-two accepted")
-	}
-	if _, err := NewSpectralSolver(make([]float64, 8), -1, 1, 0.1); err == nil {
-		t.Error("negative domain accepted")
-	}
-	if _, err := NewSpectralSolver(make([]float64, 8), 1, 1, -0.1); err == nil {
-		t.Error("negative diffusion accepted")
-	}
-}
-
-// --- Paper-scale model ---
 
 func TestFig14SingleNodeAnchors(t *testing.T) {
 	ma, err := NewModel(machine.CTEArm(), TL255L91())

@@ -1,3 +1,15 @@
+// Package wrf reproduces the paper's WRF experiments (Section V-E).
+//
+// WRF is a mesoscale numerical-weather-prediction model; the paper runs an
+// Iberian-peninsula domain at 4 km resolution for 56 simulated hours,
+// writing one history frame per simulated hour (54 frames), with IO
+// enabled and disabled.
+//
+// The package is the paper-scale model of that run: scalar dynamics and
+// physics, bandwidth-bound memory traffic, a four-neighbour halo exchange
+// with scalar buffer packing across nodes, and blocking history-frame
+// writes to the shared filesystem when IO is enabled. It regenerates
+// Fig. 16 and the WRF row of Table IV.
 package wrf
 
 import (

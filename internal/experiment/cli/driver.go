@@ -80,6 +80,21 @@ func run(args []string) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
+	// -kind reads only -spec, and -out reads no selector: refuse a flag
+	// the chosen mode would ignore, before anything runs. A flag given its
+	// default value selects nothing, as the mode switch below reads it.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = f.Value.String() != f.DefValue })
+	if set["spec"] && !set["kind"] {
+		return errors.New("-spec set without -kind, the only mode that reads it")
+	}
+	for _, mode := range []string{"kind", "out"} {
+		for _, other := range []string{"out", "table", "figure", "csv"} {
+			if set[mode] && set[other] && mode != other {
+				return fmt.Errorf("-%s and -%s both set: -%s ignores -%s", mode, other, mode, other)
+			}
+		}
+	}
 	return withProfiling(*cpuprofile, *memprofile, func() error {
 		switch {
 		case *kind != "":

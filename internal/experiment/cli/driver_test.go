@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -105,8 +106,11 @@ func TestSchemaFlagsFollowRegistry(t *testing.T) {
 // whose message names the valid subcommands or the bad flag, -h is not
 // an error (0), and a run that fails exits 1. A -table or -figure the
 // paper has no artefact for, or the two set together, fails the run
-// before anything is printed.
+// before anything is printed. So does a flag the chosen mode ignores:
+// -spec without -kind, or -kind or -out beside another mode's flag; such
+// a run writes nothing under -out either.
 func TestRunUnknownToolAndBadFlag(t *testing.T) {
+	out := t.TempDir()
 	for _, tc := range []struct {
 		args []string
 		code int
@@ -123,6 +127,15 @@ func TestRunUnknownToolAndBadFlag(t *testing.T) {
 		{[]string{"-figure", "17"}, 1, "no figure 17 (valid: 1..16)"},
 		{[]string{"-table", "2", "-figure", "5"}, 1, "table 2 and figure 5 both selected"},
 		{[]string{"-table", "-1", "-figure", "-2"}, 1, "table -1 and figure -2 both selected"},
+		{[]string{"-spec", `{"iters":3}`}, 1, "-spec set without -kind"},
+		{[]string{"-kind", "", "-spec", `{"iters":3}`}, 1, "-spec set without -kind"},
+		{[]string{"-kind", "fpu", "-out", out}, 1, "-kind and -out both set"},
+		{[]string{"-kind", "fpu", "-table", "9"}, 1, "-kind and -table both set"},
+		{[]string{"-kind", "fpu", "-figure", "3"}, 1, "-kind and -figure both set"},
+		{[]string{"-kind", "fpu", "-csv"}, 1, "-kind and -csv both set"},
+		{[]string{"-out", out, "-table", "9", "-figure", "3", "-csv"}, 1, "-out and -table both set"},
+		{[]string{"-out", out, "-figure", "3"}, 1, "-out and -figure both set"},
+		{[]string{"-out", out, "-csv"}, 1, "-out and -csv both set"},
 	} {
 		var code int
 		var stdout string
@@ -139,6 +152,16 @@ func TestRunUnknownToolAndBadFlag(t *testing.T) {
 	}
 	if code := Main([]string{"fpu", "-iters", "0"}); code != 1 {
 		t.Errorf("clustereval fpu -iters 0: exit %d, want 1", code)
+	}
+	if files, err := os.ReadDir(out); err != nil || len(files) > 0 {
+		t.Errorf("refused runs left %d files under -out (%v)", len(files), err)
+	}
+	// The profile flags are read in every mode.
+	prof := []string{"-kind", "fpu", "-spec", `{"iters":200}`, "-cpuprofile", filepath.Join(t.TempDir(), "cpu.prof")}
+	var code int
+	redirect(t, &os.Stdout, func() { code = Main(prof) })
+	if code != 0 {
+		t.Errorf("clustereval %v: exit %d, want 0", prof, code)
 	}
 }
 

@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"clustereval/internal/hpl"
-	"clustereval/internal/interconnect"
-	"clustereval/internal/machine"
-	"clustereval/internal/mpisim"
 )
 
 // BenchmarkFig6_RealLU factorizes a real matrix per iteration with the HPL
@@ -34,39 +31,4 @@ func BenchmarkFig6_RealLU(b *testing.B) {
 		}
 	}
 	b.ReportMetric(hpl.FlopCount(192)*float64(b.N)/b.Elapsed().Seconds()/1e9, "host-GFlop/s")
-}
-
-// BenchmarkFig6_DistributedLU runs the block-column-cyclic LU over the
-// simulated MPI runtime (panel broadcasts, distributed swaps and updates)
-// and verifies the factors against the HPL residual criterion.
-func BenchmarkFig6_DistributedLU(b *testing.B) {
-	fab, err := interconnect.NewTofuD(machine.CTEArm(), 12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := hpl.RandomSPDish(32, 3)
-	ones := make([]float64, 32)
-	for i := range ones {
-		ones[i] = 1
-	}
-	rhs := a.MatVec(ones)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w, err := mpisim.NewWorld(fab, 4, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lu, _, err := hpl.DistFactorize(w, a, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		x, err := lu.Solve(rhs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r := hpl.Residual(a, x, rhs); r > 16 {
-			b.Fatalf("residual %v", r)
-		}
-	}
 }
